@@ -14,18 +14,15 @@ import argparse
 import hashlib
 import itertools
 import json
-import math
-import os
 import random
 import sys
 
 from . import __version__
 from .coding import itinerary as orbit_itinerary
 from .dynamics import (
-    C0,
-    PoleError,
     find_superstable_parameter,
-    newton_eval,
+    nudge_off_poles,
+    orbit_points,
 )
 from .kneading import build_polynomial_tree, determinant_polynomial
 from .markov import (
@@ -40,7 +37,6 @@ from .markov import (
 from .polynomials import IntPolynomial
 from .reduction import BringJerrardQuintic, conjugacy_check, reduce_quintic
 from .words import (
-    SymbolWord,
     TAIL_PERIODIC,
     admissible_cycles,
     is_admissible,
@@ -130,16 +126,9 @@ def cmd_find_window(args: argparse.Namespace) -> int:
         bracket = (args.lo, args.hi)
     c = find_superstable_parameter(args.word, bracket=bracket, tol=args.tol)
     lines = [f"word = {args.word}", f"c = {_fmt(c)}",
-             f"residual = {abs(_kth_return(c, len(args.word))):.3e}"]
+             f"residual = {abs(orbit_points(c, 0.0, len(args.word) + 1)[-1]):.3e}"]
     _emit(args, "find-window", "\n".join(lines) + "\n")
     return 0
-
-
-def _kth_return(c: float, k: int) -> float:
-    x = 0.0
-    for _ in range(k):
-        x = newton_eval(c, x)
-    return x
 
 
 def cmd_tree(args: argparse.Namespace) -> int:
@@ -179,11 +168,8 @@ def cmd_tree(args: argparse.Namespace) -> int:
 
 
 def cmd_entropy_curve(args: argparse.Namespace) -> int:
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("QUINTIC_NEWTON_WORKERS", "1"))
     points = entropy_curve(args.lo, args.hi, args.n,
-                           horizon=args.horizon, workers=workers)
+                           horizon=args.horizon, workers=args.workers)
     rows = ["c,entropy,method,period"]
     for p in points:
         rows.append(f"{_fmt(p.c)},{_fmt(p.entropy)},{p.method},{p.period}")
@@ -193,31 +179,15 @@ def cmd_entropy_curve(args: argparse.Namespace) -> int:
 
 def cmd_bifurcation(args: argparse.Namespace) -> int:
     rows = ["c,x"]
+    skip = args.transient + 1
     for i in range(args.n):
         c = args.lo + (args.hi - args.lo) * i / (args.n - 1)
-        for _ in range(3):
-            try:
-                xs = _attractor_samples(c, args.transient, args.samples)
-                break
-            except PoleError:
-                c *= 1.0 + 1e-12
-        else:
-            continue
+        c, xs = nudge_off_poles(
+            lambda c: orbit_points(c, 0.0, skip + args.samples)[skip:], c)
         for x in xs:
             rows.append(f"{_fmt(c)},{_fmt(x)}")
     _emit(args, "bifurcation", "\n".join(rows) + "\n")
     return 0
-
-
-def _attractor_samples(c: float, transient: int, samples: int) -> list[float]:
-    x = 0.0
-    for _ in range(transient):
-        x = newton_eval(c, x)
-    out = []
-    for _ in range(samples):
-        x = newton_eval(c, x)
-        out.append(x)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -393,8 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=float, default=1.6493)
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--horizon", type=int, default=64)
-    p.add_argument("--workers", type=int, default=None,
-                   help="default: QUINTIC_NEWTON_WORKERS or 1")
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_entropy_curve)
 

@@ -1,15 +1,14 @@
 """Numeric orbit coding: itineraries as SymbolWords and the kneading data.
 
-The symbols come straight from the critical frame; the work here is tail
-classification — deciding from the floating-point orbit whether the
-itinerary has fallen into the absorbing A run, closed up on a periodic
-block, or remains unresolved at the requested length.
+The symbols and the tail rule come from ``dynamics``; the work here is
+turning a coded orbit into a word — the absorbing A run, a periodic block,
+or an unresolved head at the requested length.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dynamics import critical_frame, newton_eval, PoleError
+from .dynamics import STOP_ABSORBED, STOP_POLE, tail_period, walk_orbit
 from .words import (
     SymbolWord,
     TAIL_A_INF,
@@ -22,41 +21,24 @@ def itinerary(c: float, x0: float, length: int, tol: float = 1e-10) -> SymbolWor
     """Symbolic itinerary of the orbit of x0 under the Newton map.
 
     A point within tol of zero reads C; within tol of a pole the itinerary
-    is undefined and PoleError is raised.  The tail is classified from the
-    numeric orbit: entering A or B resolves to an infinite A run, a revisit
-    of an earlier point within tol resolves to a periodic tail, anything
-    else is left unresolved.
+    is undefined and PoleError is raised.  Entering A or B resolves to an
+    infinite A run, a tail that ``tail_period`` finds periodic resolves to
+    a periodic tail, anything else is left unresolved.
     """
     if length < 1:
         raise ValueError("length must be positive")
-    frame = critical_frame(c)
-    xs = [x0]
-    syms: list[str] = []
-    x = x0
-    for i in range(length):
-        if abs(x - frame.d1) <= tol or abs(x - frame.d3) <= tol:
-            raise PoleError(x, i)
-        if abs(x) <= tol:
-            syms.append("C")
-        else:
-            s = frame.classify(x)
-            syms.append(s)
-            if s in ("A", "B"):
-                # the left end is absorbing: the rest of the word is A
-                head = "".join(syms) if s == "A" else "".join(syms) + "A"
-                return SymbolWord(head, TAIL_A_INF)
-        x = newton_eval(c, x)
-        xs.append(x)
-
-    # look for the earliest numeric recurrence x_{s+p} == x_s
-    n = len(syms)
-    for p in range(1, n // 2 + 1):
-        for s in range(0, n - 2 * p + 1):
-            scale = max(1.0, abs(xs[s]))
-            if abs(xs[s + p] - xs[s]) < tol * scale:
-                if all(syms[j] == syms[j + p] for j in range(s, n - p)):
-                    return SymbolWord("".join(syms[: s + p]), TAIL_PERIODIC, s)
-    return SymbolWord("".join(syms), TAIL_UNRESOLVED)
+    code = walk_orbit(c, x0, length, tol)
+    syms = code.symbols
+    if code.stop == STOP_POLE:
+        raise code.pole_error()
+    if code.stop == STOP_ABSORBED:
+        # the left end is absorbing: the rest of the word is A
+        return SymbolWord(syms if syms[-1] == "A" else syms + "A", TAIL_A_INF)
+    s_p = tail_period(code)
+    if s_p is not None:
+        s, p = s_p
+        return SymbolWord(syms[: s + p], TAIL_PERIODIC, s)
+    return SymbolWord(syms, TAIL_UNRESOLVED)
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,17 @@
 For 0 < c < C0 the polynomial has a single real root and the Newton map on
 the real line is a piecewise-monotone map with two poles (the critical
 points of the polynomial) and one free critical point at zero.  This module
-provides the map itself, the critical frame that cuts the line into the
-coding pieces, orbit iteration with outcome classification, the raw
-symbol stream of an orbit, and the locator for parameters whose critical
-orbit closes up on a prescribed cycle word.
+provides the Newton step for any x^5 + a*x + b, the critical frame that cuts
+the line into the coding pieces, orbit iteration with outcome
+classification, the orbit layer every other module codes orbits with (one
+walker, one periodic-tail rule, one pole-nudge schedule), and the locator
+for parameters whose critical orbit closes up on a prescribed cycle word.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .words import RANK, is_admissible
 
@@ -33,36 +35,46 @@ class PoleError(ArithmeticError):
 # the map
 # ----------------------------------------------------------------------
 
+def quintic_value(a: float, b: float, x: float) -> float:
+    """x^5 + a*x + b, with the sign of the dominant term on overflow."""
+    try:
+        return x ** 5 + a * x + b
+    except OverflowError:
+        # the dominant term decides the sign; compare |x^5| with |a*x| in logs
+        if a == 0.0 or 4.0 * math.log(abs(x)) >= math.log(abs(a)):
+            return math.copysign(math.inf, x)
+        return math.copysign(math.inf, a * math.copysign(1.0, x))
+
+
+def newton_step(a: float, b: float, x: float, pole_tol: float = 1e-10) -> float:
+    """One Newton step for x^5 + a*x + b, written as (4x^5 - b)/(5x^4 + a).
+
+    For |x| > 1 the same fraction is evaluated in inverse powers of x,
+    x*(4 - b*x^-5)/(5 + a*x^-4), so huge arguments never overflow the
+    intermediate powers.
+    """
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(x)):
+        raise ValueError(f"non-finite input a={a!r}, b={b!r}, x={x!r}")
+    if abs(x) <= 1.0:
+        den = 5.0 * x ** 4 + a
+        if abs(den) <= pole_tol:
+            raise PoleError(x)
+        return (4.0 * x ** 5 - b) / den
+    inv = 1.0 / x
+    den = 5.0 + a * inv ** 4
+    if abs(den) <= pole_tol:
+        raise PoleError(x)
+    return x * (4.0 - b * inv ** 5) / den
+
+
 def family_value(c: float, x: float) -> float:
     """f_c(x) = x^5 - c*x + 1."""
-    try:
-        return x ** 5 - c * x + 1.0
-    except OverflowError:
-        # the dominant term decides the sign; compare |x^5| with |c*x| in logs
-        if c == 0.0 or 4.0 * math.log(abs(x)) >= math.log(abs(c)):
-            return math.copysign(math.inf, x)
-        return math.copysign(math.inf, -c * math.copysign(1.0, x))
+    return quintic_value(-c, 1.0, x)
 
 
 def newton_eval(c: float, x: float, pole_tol: float = 1e-10) -> float:
-    """One Newton step for f_c, written as (4x^5 - 1)/(5x^4 - c).
-
-    For |x| > 1 the same fraction is evaluated in inverse powers of x,
-    x*(4 - x^-5)/(5 - c*x^-4), so huge arguments never overflow the
-    intermediate powers.
-    """
-    if not (math.isfinite(c) and math.isfinite(x)):
-        raise ValueError(f"non-finite input c={c!r}, x={x!r}")
-    if abs(x) <= 1.0:
-        den = 5.0 * x ** 4 - c
-        if abs(den) <= pole_tol:
-            raise PoleError(x)
-        return (4.0 * x ** 5 - 1.0) / den
-    inv = 1.0 / x
-    den = 5.0 - c * inv ** 4
-    if abs(den) <= pole_tol:
-        raise PoleError(x)
-    return x * (4.0 - inv ** 5) / den
+    """One Newton step for f_c: (4x^5 - 1)/(5x^4 - c)."""
+    return newton_step(-c, 1.0, x, pole_tol)
 
 
 def newton_derivative(c: float, x: float, pole_tol: float = 1e-10) -> float:
@@ -116,18 +128,19 @@ def critical_frame(c: float) -> CriticalFrame:
     """Compute the frame for c > 0 (poles require a positive parameter)."""
     if not (c > 0.0 and math.isfinite(c)):
         raise ValueError(f"the critical frame needs c > 0, got {c!r}")
+    a = -c
     d1 = -((c / 5.0) ** 0.25)
     d3 = -d1
     # f is positive at d1 (local max) and falls to -inf leftwards: bracket
     # down until the sign flips, then bisect.
     lo, hi = d1 - 1.0, d1
-    while family_value(c, lo) >= 0.0:
+    while quintic_value(a, 1.0, lo) >= 0.0:
         lo = d1 + 2.0 * (lo - d1)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if family_value(c, mid) < 0.0:
+        if quintic_value(a, 1.0, mid) < 0.0:
             lo = mid
         else:
             hi = mid
@@ -136,7 +149,7 @@ def critical_frame(c: float) -> CriticalFrame:
     for _ in range(3):
         fp = 5.0 * d0 ** 4 - c
         if fp != 0.0:
-            d0 -= family_value(c, d0) / fp
+            d0 -= quintic_value(a, 1.0, d0) / fp
     return CriticalFrame(c, d0, d1, 0.0, d3)
 
 
@@ -226,32 +239,116 @@ def iterate_orbit(c: float, x0: float, max_iter: int = 100_000,
 
 
 # ----------------------------------------------------------------------
-# symbol stream
+# orbit coding
 # ----------------------------------------------------------------------
 
-def symbol_stream(c: float, x0: float, n: int, tol: float = 1e-10,
-                  pole_tol: float = 1e-10) -> str:
-    """First n symbols of the orbit of x0, as a plain string.
+STOP_ABSORBED = "absorbed"   # entered A or B; everything after is A forever
+STOP_POLE = "pole"           # came within tol of a pole of the Newton map
+STOP_HORIZON = "horizon"     # coded the requested number of points
 
-    Landing within tol of zero reads C and the orbit continues; entering
-    A or B ends the stream (everything after is A forever); passing within
-    pole_tol of a pole raises PoleError.
+# the periodic-tail rule: a repeat within TAIL_TOL (relative beyond |x| = 1)
+# at a lag of at most TAIL_MAX_PERIOD and at most half the coded length
+TAIL_TOL = 1e-9
+TAIL_MAX_PERIOD = 256
+
+
+class OrbitCode(NamedTuple):
+    """A coded orbit segment.
+
+    points[i] is the point that symbols[i] codes; a pole stop appends the
+    point that met the pole, which has no symbol.
+    """
+
+    symbols: str
+    points: tuple[float, ...]
+    stop: str
+
+    def pole_error(self) -> PoleError:
+        """The error to raise for a walk that stopped at a pole."""
+        return PoleError(self.points[-1], len(self.symbols))
+
+
+def walk_orbit(c: float, x0: float, n: int, tol: float = 1e-10) -> OrbitCode:
+    """Code the orbit of x0 over A B L C M R, for at most n points.
+
+    A point within tol of zero reads C and the orbit continues; entering A
+    or B ends the walk, as does a point within tol of a pole.  A Newton step
+    that itself meets a pole raises PoleError.
     """
     frame = critical_frame(c)
+    d1, d3, a = frame.d1, frame.d3, -c
+    syms: list[str] = []
+    xs: list[float] = []
+    # bound once: this loop is the hot path of the locator and the curve
+    classify, add_symbol, add_point = frame.classify, syms.append, xs.append
     x = x0
-    out: list[str] = []
-    for i in range(n):
-        if abs(x - frame.d1) <= pole_tol or abs(x - frame.d3) <= pole_tol:
-            raise PoleError(x, i)
-        if abs(x) <= tol:
-            out.append("C")
-        else:
-            s = frame.classify(x)
-            out.append(s)
-            if s in ("A", "B"):
-                break
-        x = newton_eval(c, x, pole_tol)
-    return "".join(out)
+    stop = STOP_HORIZON
+    for _ in range(n):
+        add_point(x)
+        if abs(x - d1) <= tol or abs(x - d3) <= tol:
+            stop = STOP_POLE
+            break
+        s = "C" if abs(x) <= tol else classify(x)
+        add_symbol(s)
+        if s in ("A", "B"):
+            stop = STOP_ABSORBED
+            break
+        x = newton_step(a, 1.0, x)
+    return OrbitCode("".join(syms), tuple(xs), stop)
+
+
+def orbit_points(c: float, x0: float, n: int) -> list[float]:
+    """The first n points x0, N(x0), ... of an orbit, uncoded."""
+    a = -c
+    xs = [x0]
+    for _ in range(n - 1):
+        xs.append(newton_step(a, 1.0, xs[-1]))
+    return xs
+
+
+def tail_period(code: OrbitCode) -> tuple[int, int] | None:
+    """Earliest (start, period) of a numerically repeating tail, or None.
+
+    Scans periods in increasing order and, for each, starts in increasing
+    order for a coded point that recurs within TAIL_TOL, with the symbols
+    repeating from there to the end of the code.
+    """
+    syms = code.symbols
+    n = len(syms)
+    xs = code.points
+    for p in range(1, min(n // 2, TAIL_MAX_PERIOD) + 1):
+        for s in range(0, n - 2 * p + 1):
+            if abs(xs[s + p] - xs[s]) < TAIL_TOL * max(1.0, abs(xs[s])):
+                if syms[s:n - p] == syms[s + p:]:
+                    return s, p
+    return None
+
+
+POLE_NUDGE = 1e-12   # relative step off a pole collision
+POLE_RETRIES = 3
+
+
+def nudge_off_poles(fn, c: float):
+    """(c', fn(c')) for the first c' = c*(1+1e-12)^j, j = 0..3, where fn
+    does not raise PoleError; the fourth PoleError propagates.
+
+    An orbit meeting a pole is a measure-zero coincidence of the parameter,
+    so a relative step of POLE_NUDGE usually moves off it.
+    """
+    for _ in range(POLE_RETRIES):
+        try:
+            return c, fn(c)
+        except PoleError:
+            c *= 1.0 + POLE_NUDGE
+    return c, fn(c)
+
+
+def symbol_stream(c: float, x0: float, n: int, tol: float = 1e-10) -> str:
+    """First n symbols of the orbit of x0; PoleError when it meets a pole."""
+    code = walk_orbit(c, x0, n, tol)
+    if code.stop == STOP_POLE:
+        raise code.pole_error()
+    return code.symbols
 
 
 def critical_symbols(c: float, n: int, tol: float = 1e-10) -> str:
@@ -278,17 +375,6 @@ def _compare_stream_to_cycle(stream: str, word: str) -> int:
     return 0
 
 
-def _critical_symbols_robust(c: float, n: int) -> str:
-    """Symbol stream of the critical value, nudging c off measure-zero
-    pole collisions instead of failing the whole search."""
-    for bump in (0.0, 1e-13, -1e-13, 1e-12):
-        try:
-            return critical_symbols(c * (1.0 + bump), n)
-        except PoleError:
-            continue
-    raise PoleError(c)
-
-
 def find_superstable_parameter(word: str, bracket: tuple[float, float] | None = None,
                                tol: float = 1e-13) -> float:
     """Parameter where the critical orbit closes up on the given cycle word.
@@ -307,9 +393,12 @@ def find_superstable_parameter(word: str, bracket: tuple[float, float] | None = 
         raise ValueError(f"bad bracket {bracket!r}")
     horizon = max(64, 6 * k)
 
+    def stream(c: float, n: int) -> str:
+        return nudge_off_poles(lambda c: critical_symbols(c, n), c)[1]
+
     def side(c: float) -> int:
         # realized > word means c is below the target, realized < word above
-        return _compare_stream_to_cycle(_critical_symbols_robust(c, horizon), word)
+        return _compare_stream_to_cycle(stream(c, horizon), word)
 
     s_lo, s_hi = side(lo), side(hi)
     if s_lo < 0 or s_hi > 0:
@@ -328,10 +417,7 @@ def find_superstable_parameter(word: str, bracket: tuple[float, float] | None = 
             break  # stream no longer separates: close enough for polishing
 
     def kth_return(c: float) -> float:
-        x = 0.0
-        for _ in range(k):
-            x = newton_eval(c, x)
-        return x
+        return orbit_points(c, 0.0, k + 1)[-1]
 
     try:
         ga, gb = kth_return(a), kth_return(b)
@@ -374,7 +460,7 @@ def find_superstable_parameter(word: str, bracket: tuple[float, float] | None = 
     if residual > 1e-8:
         raise ValueError(
             f"{word} not realized: return residual {residual:.3e} at c={c_star!r}")
-    realized = _critical_symbols_robust(c_star, k)[: k - 1]
+    realized = stream(c_star, k)[: k - 1]
     if realized != word[: k - 1]:
         raise ValueError(
             f"bracket closed on {realized!r}, not {word[:-1]!r}")

@@ -17,9 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynamics import (
-    PoleError,
+    STOP_ABSORBED,
+    STOP_POLE,
     critical_frame,
     newton_eval,
+    nudge_off_poles,
+    orbit_points,
+    tail_period,
+    walk_orbit,
 )
 from .kneading import determinant_polynomial, kneading_determinant
 from .polynomials import IntPolynomial, smallest_root_in
@@ -76,13 +81,10 @@ def critical_orbit(c: float, period_cap: int = 64,
     Raises ValueError when the orbit fails to return to zero within the
     cap — the partition construction only makes sense on a closed orbit.
     """
-    pts = [0.0]
-    x = 0.0
-    for _ in range(period_cap):
-        x = newton_eval(c, x)
-        if abs(x) <= return_tol:
-            return pts
-        pts.append(x)
+    pts = orbit_points(c, 0.0, period_cap + 1)
+    for i in range(1, len(pts)):
+        if abs(pts[i]) <= return_tol:
+            return pts[:i]
     raise ValueError(f"critical orbit does not close up at c={c!r}")
 
 
@@ -261,33 +263,7 @@ class CurvePoint:
     period: int
 
 
-def _orbit_symbols(c: float, horizon: int,
-                   tol: float = 1e-10) -> tuple[list[str], list[float], int]:
-    """Symbols and points of the critical value orbit.
-
-    Returns (symbols, points, pole_index); pole_index is the position where
-    a pole cut the stream short, or -1.  Entering A or B ends the stream
-    (the continuation is an infinite A run)."""
-    frame = critical_frame(c)
-    x = newton_eval(c, 0.0)
-    syms: list[str] = []
-    xs: list[float] = []
-    for i in range(horizon):
-        if abs(x - frame.d1) <= tol or abs(x - frame.d3) <= tol:
-            return syms, xs, i
-        xs.append(x)
-        if abs(x) <= tol:
-            syms.append("C")
-            return syms, xs, -1
-        s = frame.classify(x)
-        syms.append(s)
-        if s in ("A", "B"):
-            return syms, xs, -1
-        x = newton_eval(c, x)
-    return syms, xs, -1
-
-
-def _series_root(syms: list[str], tol: float = 1e-13) -> float | None:
+def _series_root(syms: str, tol: float = 1e-13) -> float | None:
     """Smallest band root of the truncated kneading series.
 
     The series is the cleared determinant written symbol by symbol; with
@@ -323,39 +299,37 @@ def entropy_point(c: float, horizon: int = 64, max_horizon: int = 4096) -> Curve
     Orbits that close up, fall into the absorbing run, or settle on a
     periodic tail within the horizon get the exact polynomial treatment;
     anything else gets the truncated series, with the horizon grown until
-    the series tail is negligible at the root found.
+    the series tail is negligible at the root found.  A pole within the
+    first 24 points moves c by the shared nudge schedule; a later one
+    truncates the series there.
     """
-    H = horizon
-    nudges = 0
+    return nudge_off_poles(lambda c: _entropy_at(c, horizon, max_horizon), c)[1]
+
+
+def _entropy_at(c: float, H: int, max_horizon: int) -> CurvePoint:
     while True:
-        syms, xs, pole_at = _orbit_symbols(c, H)
-        if 0 <= pole_at < 24 and nudges < 3:
-            # an early pole collision: nudge off the measure-zero parameter
-            c = c * (1.0 + 1e-12)
-            nudges += 1
-            continue
-        hit_pole = pole_at >= 0
-        if hit_pole:
-            syms, xs = syms[:pole_at], xs[:pole_at]
-        last = syms[-1] if syms else ""
-        if last == "C":
-            word = "".join(syms[:-1]) + "C"
+        code = walk_orbit(c, newton_eval(c, 0.0), H)
+        syms = code.symbols
+        k = syms.find("C")
+        if k >= 0:
+            word = syms[: k + 1]
             root = _band_root(kneading_numerator(word))
             return _curve_point(c, root, "kneading", len(word))
-        if last in ("A", "B"):
-            word = "".join(syms[:-1]) + "A"
-            root = _band_root(kneading_numerator(word))
+        if code.stop == STOP_POLE and len(syms) < 24:
+            raise code.pole_error()
+        if code.stop == STOP_ABSORBED:
+            root = _band_root(kneading_numerator(syms[:-1] + "A"))
             return _curve_point(c, root, "kneading", 0)
-        s_p = _tail_period(syms, xs)
+        s_p = tail_period(code)
         if s_p is not None:
             s, p = s_p
-            Y = SymbolWord("".join(syms[: s + p]), TAIL_PERIODIC, s)
+            Y = SymbolWord(syms[: s + p], TAIL_PERIODIC, s)
             root = _band_root(kneading_numerator(Y))
             return _curve_point(c, root, "kneading", p)
         root = _series_root(syms)
         t_hat = root if root is not None else 1.0 - 1e-9
         tail = 2.0 * t_hat ** (len(syms) + 1) / max(1e-9, 1.0 - t_hat)
-        if tail < 1e-12 or H >= max_horizon or hit_pole:
+        if tail < 1e-12 or H >= max_horizon or code.stop == STOP_POLE:
             return _curve_point(c, root, "kneading-series", 0)
         H = min(max_horizon, 2 * H)
 
@@ -363,18 +337,6 @@ def entropy_point(c: float, horizon: int = 64, max_horizon: int = 4096) -> Curve
 def _curve_point(c: float, root: float | None, method: str, period: int) -> CurvePoint:
     res = _result_from_root(root, method)
     return CurvePoint(c, res.t_star, res.h, method, period)
-
-
-def _tail_period(syms: list[str], xs: list[float],
-                 tol: float = 1e-9) -> tuple[int, int] | None:
-    """Earliest (start, period) with a numerically repeating tail, or None."""
-    n = len(xs)
-    for p in range(1, min(n // 2, 256) + 1):
-        for s in range(0, n - 2 * p + 1):
-            if abs(xs[s + p] - xs[s]) < tol * max(1.0, abs(xs[s])):
-                if all(syms[j] == syms[j + p] for j in range(s, len(syms) - p)):
-                    return s, p
-    return None
 
 
 def entropy_curve(c_lo: float, c_hi: float, n: int,

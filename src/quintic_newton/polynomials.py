@@ -373,24 +373,3 @@ def smallest_root_in(f: Callable[[float], float] | IntPolynomial,
         prev_x, prev_v = x, v
     return None
 
-
-def refine_root(f: Callable[[float], float], a: float, b: float,
-                tol: float = 1e-14) -> float:
-    """Plain bisection on a bracketing interval [a, b] with f(a)*f(b) <= 0."""
-    fa = f(a)
-    if fa == 0.0:
-        return a
-    if f(b) == 0.0:
-        return b
-    if (fa < 0) == (f(b) < 0):
-        raise ValueError("interval does not bracket a sign change")
-    while b - a > tol:
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if (fa < 0) != (fm < 0):
-            b = m
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)

@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .dynamics import C0, PoleError, family_value, newton_eval
+from .dynamics import C0, PoleError, newton_step, quintic_value
 
 
 @dataclass(frozen=True)
@@ -21,24 +21,10 @@ class BringJerrardQuintic:
     b: float
 
     def value(self, x: float) -> float:
-        try:
-            return x ** 5 + self.a * x + self.b
-        except OverflowError:
-            if self.a == 0.0 or 4.0 * math.log(abs(x)) >= math.log(abs(self.a)):
-                return math.copysign(math.inf, x)
-            return math.copysign(math.inf, self.a * math.copysign(1.0, x))
+        return quintic_value(self.a, self.b, x)
 
     def newton(self, x: float, pole_tol: float = 1e-10) -> float:
-        if abs(x) <= 1.0:
-            den = 5.0 * x ** 4 + self.a
-            if abs(den) <= pole_tol:
-                raise PoleError(x, 0)
-            return (4.0 * x ** 5 - self.b) / den
-        inv = 1.0 / x
-        den = 5.0 + self.a * inv ** 4
-        if abs(den) <= pole_tol:
-            raise PoleError(x, 0)
-        return x * (4.0 - self.b * inv ** 5) / den
+        return newton_step(self.a, self.b, x, pole_tol)
 
 
 class Regime(enum.Enum):
@@ -72,33 +58,19 @@ class ReducedQuintic:
     c: float
     scale: float
 
-    def value(self, x: float) -> float:
+    def _coefficients(self) -> tuple[float, float]:
+        """(a, b) with the reduced form written as x^5 + a*x + b."""
         if self.kind == "canonical":
-            return family_value(self.c, x)
-        try:
-            if self.kind == "p_plus":
-                return x ** 5 + x
-            if self.kind == "p_minus":
-                return x ** 5 - x
-            return x ** 5
-        except OverflowError:
-            return math.copysign(math.inf, x)
+            return -self.c, 1.0
+        return {"p_plus": 1.0, "p_minus": -1.0, "p_zero": 0.0}[self.kind], 0.0
+
+    def value(self, x: float) -> float:
+        return quintic_value(*self._coefficients(), x)
 
     def newton(self, x: float, pole_tol: float = 1e-10) -> float:
-        if self.kind == "canonical":
-            return newton_eval(self.c, x, pole_tol=pole_tol)
         if self.kind == "p_zero":
-            return 0.8 * x
-        sign = 1.0 if self.kind == "p_plus" else -1.0
-        if abs(x) <= 1.0:
-            den = 5.0 * x ** 4 + sign
-            if abs(den) <= pole_tol:
-                raise PoleError(x, 0)
-            return 4.0 * x ** 5 / den
-        den = 5.0 + sign * (1.0 / x) ** 4
-        if abs(den) <= pole_tol:
-            raise PoleError(x, 0)
-        return 4.0 * x / den
+            return 0.8 * x  # x^5 has a 0/0 at its root; the step is 4x/5
+        return newton_step(*self._coefficients(), x, pole_tol)
 
     @property
     def regime(self) -> Regime | None:

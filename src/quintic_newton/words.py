@@ -178,13 +178,6 @@ def _as_stream(w) -> tuple[Callable[[int], str], int | None]:
     return (lambda i: w[i] if i < len(w) else "A"), None
 
 
-def word_signature(w) -> str:
-    """Printable canonical form of any accepted word input."""
-    if isinstance(w, SymbolWord):
-        return str(w)
-    return str(w)
-
-
 # ----------------------------------------------------------------------
 # order and admissibility
 # ----------------------------------------------------------------------

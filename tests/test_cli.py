@@ -2,7 +2,9 @@ import hashlib
 import json
 
 from frozen import LEVELS, SUPERSTABLE
+from quintic_newton import cli
 from quintic_newton.cli import main
+from quintic_newton.dynamics import PoleError
 
 
 def test_reduce_reports_canonical_form(capsys):
@@ -102,6 +104,15 @@ def test_bifurcation_csv(capsys):
     assert len(lines) == 13
     c0, x0 = lines[1].split(",")
     float(c0), float(x0)
+
+
+def test_bifurcation_errors_when_a_column_keeps_hitting_a_pole(monkeypatch, capsys):
+    def always_pole(c, x0, n):
+        raise PoleError(x0)
+
+    monkeypatch.setattr(cli, "orbit_points", always_pole)
+    assert main(["bifurcation", "--lo", "1.0", "--hi", "1.3", "--n", "4"]) == 2
+    assert "pole" in capsys.readouterr().err
 
 
 def test_verify_suites_pass(capsys):

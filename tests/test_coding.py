@@ -3,6 +3,7 @@ import pytest
 from frozen import SUPERSTABLE
 from quintic_newton.coding import KneadingData, itinerary, kneading_data
 from quintic_newton.dynamics import PoleError, find_superstable_parameter
+from quintic_newton.markov import entropy_point
 from quintic_newton.words import (
     SymbolWord,
     TAIL_A_INF,
@@ -38,6 +39,14 @@ def test_itinerary_unresolved_when_budget_is_tiny():
     w = itinerary(1.55, 0.0, 6)
     assert w.tail == TAIL_UNRESOLVED
     assert len(w.head) == 6
+
+
+def test_itinerary_and_entropy_curve_agree_on_tails():
+    # both read the tail of the same 40 coded points with one rule
+    c = 0.11536173086543272
+    w = itinerary(c, 0.0, 40)
+    assert w.tail == TAIL_PERIODIC
+    assert w.period == 12 == entropy_point(c).period
 
 
 def test_itinerary_raises_on_pole_start():

@@ -10,13 +10,18 @@ from quintic_newton.dynamics import (
     PeriodicOrbit,
     PoleError,
     critical_frame,
+    STOP_ABSORBED,
+    STOP_HORIZON,
+    STOP_POLE,
     critical_symbols,
     family_value,
     find_superstable_parameter,
     iterate_orbit,
     newton_derivative,
     newton_eval,
+    nudge_off_poles,
     symbol_stream,
+    walk_orbit,
 )
 
 
@@ -105,3 +110,31 @@ def test_symbol_streams():
     # absorption: the stream stops at the first A or B
     s = symbol_stream(2.0, -5.0, 10)
     assert s == "A"
+    # the walker behind the streams records why it stopped
+    code = walk_orbit(c, 0.0, 5)
+    assert code.symbols == "CRLRC" and code.stop == STOP_HORIZON
+    assert len(code.points) == 5 and code.points[0] == 0.0
+    code = walk_orbit(2.0, -5.0, 10)
+    assert code.symbols == "A" and code.stop == STOP_ABSORBED
+    pole = (1.0 / 5.0) ** 0.25
+    code = walk_orbit(1.0, pole, 10)
+    # the point that met the pole is kept but not coded
+    assert code.symbols == "" and code.points == (pole,)
+    assert code.stop == STOP_POLE
+    with pytest.raises(PoleError):
+        symbol_stream(1.0, pole, 10)
+
+
+def test_pole_nudges_try_four_parameters_then_raise():
+    tried = []
+
+    def always_pole(c):
+        tried.append(c)
+        raise PoleError(c)
+
+    with pytest.raises(PoleError):
+        nudge_off_poles(always_pole, 1.0)
+    assert len(tried) == 4
+    assert tried[0] == 1.0 and all(b > a for a, b in zip(tried, tried[1:]))
+    # the first parameter that clears the pole is returned with its result
+    assert nudge_off_poles(lambda c: c * 2.0, 0.5) == (0.5, 1.0)

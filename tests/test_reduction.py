@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from quintic_newton.dynamics import C0
+from quintic_newton.dynamics import C0, family_value, newton_eval
 from quintic_newton.reduction import (
     BringJerrardQuintic,
     Regime,
@@ -85,3 +85,12 @@ def test_values_agree_under_scaling():
     r = reduce_quintic(q)
     for x in (-1.7, 0.3, 2.2):
         assert abs(r.value(x * r.scale) - q.value(x) / q.b) < 1e-12
+    # x^5 - c*x + 1 is the quintic with a = -c, b = 1: bitwise the same step
+    rng = random.Random(5)
+    for _ in range(2000):
+        c = rng.uniform(-3.0, 3.0)
+        x = rng.choice((rng.uniform(-2.0, 2.0), rng.uniform(-1e3, 1e3),
+                        rng.uniform(-1.0, 1.0) * 1e70))
+        q = BringJerrardQuintic(-c, 1.0)
+        assert q.newton(x) == newton_eval(c, x), (c, x)
+        assert q.value(x) == family_value(c, x), (c, x)
