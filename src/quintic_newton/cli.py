@@ -24,7 +24,7 @@ from .dynamics import (
     nudge_off_poles,
     orbit_points,
 )
-from .kneading import build_polynomial_tree, determinant_polynomial
+from .kneading import build_polynomial_tree, kneading_numerator
 from .markov import (
     char_poly,
     entropy_curve,
@@ -275,12 +275,7 @@ def _suite_markov_rlrc() -> list[tuple[str, bool, str]]:
     tm = transition_matrix(markov_partition(c))
     ok_m = tm.matrix == target
     cp = char_poly(tm)
-    one_minus_t = IntPolynomial.one_minus_t_power(1)
-    want = determinant_polynomial("RLRC") * one_minus_t * one_minus_t
-    # the cycle determinant already carries (1 - t^4); the char poly equals
-    # the reduced quartic times (1 - t)^2
-    d = IntPolynomial([1, 0, -2, -2, -1])
-    ok_p = cp == d * one_minus_t * one_minus_t
+    ok_p = cp == kneading_numerator("RLRC") * IntPolynomial.one_minus_t_power(1)
     return [
         ("transition matrix", ok_m, f"{tm.size}x{tm.size} matches the target"),
         ("char poly identity", ok_p, f"det(I-tM) = {cp.to_list()}"),

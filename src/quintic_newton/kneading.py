@@ -16,7 +16,10 @@ the parity of L's in the word.  The same combination without the cycle
 factor handles convergent words.  ``cycle_polynomial`` rebuilds P by a
 three-case suffix recursion instead of the determinant;
 ``build_polynomial_tree`` cross-checks the two routes and refuses to hand
-out a tree where they disagree.
+out a tree where they disagree.  ``kneading_numerator`` reads the same
+numerator straight off the word as one integer series; every entropy
+route uses it, and the determinant is kept as the oracle it is tested
+against.
 """
 from __future__ import annotations
 
@@ -69,10 +72,6 @@ class FormalSymbolSeries:
     def __sub__(self, other: "FormalSymbolSeries") -> "FormalSymbolSeries":
         return FormalSymbolSeries(
             [a - b for a, b in zip(self.components, other.components)])
-
-    def __add__(self, other: "FormalSymbolSeries") -> "FormalSymbolSeries":
-        return FormalSymbolSeries(
-            [a + b for a, b in zip(self.components, other.components)])
 
     def __repr__(self):
         parts = [f"{s}: {c!r}" for s, c in zip(ALPHABET, self.components)
@@ -227,9 +226,6 @@ class KneadingMatrix:
     def from_word(cls, word) -> "KneadingMatrix":
         return cls(tuple(kneading_increment(i, word) for i in range(4)))
 
-    def entry(self, i: int, symbol: str) -> RationalFunctionInT:
-        return self.rows[i][symbol]
-
 
 # ----------------------------------------------------------------------
 # determinant
@@ -284,6 +280,47 @@ def determinant_polynomial(word) -> IntPolynomial:
     else:
         out = D * sq
     return out.as_polynomial()
+
+
+# ----------------------------------------------------------------------
+# the numerator kernel
+# ----------------------------------------------------------------------
+
+# 2*w(s) as (t^0, t^1) coefficients: w is t on L, 1-2t on M, 1-t on R, 0 on A, B
+_SERIES_WEIGHT = {"L": (0, 2), "M": (2, -4), "R": (2, -2)}
+
+
+def kneading_numerator(word) -> IntPolynomial:
+    """The numerator of D(t) read straight off the kneading sequence.
+
+    In this family the determinant collapses to one series,
+
+        S(t) = D(t) * (1 - t)^2 = 1 - 3t + sum_m 2 * eps_m * w(s_m) * t^m,
+
+    over the sequence s_1 s_2 ... of the word, with eps_m the product of
+    the slope signs of s_1 .. s_(m-1).  A-tails add nothing, so a finite
+    head gives S itself; a periodic tail of period p whose block has slope
+    sign sigma is summed in closed form and cleared by (1 - sigma*t^p).
+    Cycle and convergent words get ``determinant_polynomial`` exactly.  The
+    sequence comes from the determinant's own side stream, so both routes
+    accept, and reject, the same words.
+    """
+    seq = _critical_side_streams(word)[0].shift(1)
+    cut = seq.start if seq.tail == TAIL_PERIODIC else len(seq.head)
+    coeffs = [1, -3] + [0] * len(seq.head)
+    eps = 1
+    for m, s in enumerate(seq.head, 1):
+        if m == cut + 1:
+            pre, pre_eps = IntPolynomial(coeffs), eps
+        a, b = _SERIES_WEIGHT.get(s, (0, 0))
+        coeffs[m] += eps * a
+        coeffs[m + 1] += eps * b
+        eps *= LAP_SIGN[s]
+    series = IntPolynomial(coeffs)
+    if cut == len(seq.head):
+        return series
+    # series = pre + block, S = pre + block / (1 - sigma*t^p)
+    return series - pre.shift(seq.period) * (eps * pre_eps)
 
 
 # ----------------------------------------------------------------------
@@ -407,10 +444,9 @@ def build_polynomial_tree(max_level: int) -> dict[int, list[PolyTreeNode]]:
         for node in nodes:
             if node.kind == "cycle":
                 poly = cycle_polynomial(node.word)
-                check = determinant_polynomial(node.word)
             else:
                 poly = convergent_polynomial(node.word)
-                check = determinant_polynomial(node.word)
+            check = determinant_polynomial(node.word)
             if poly != check:
                 raise RuntimeError(
                     f"recursion and determinant disagree on {node.word}: "

@@ -26,9 +26,11 @@ from .dynamics import (
     tail_period,
     walk_orbit,
 )
-from .kneading import determinant_polynomial, kneading_determinant
+from .kneading import kneading_numerator
+# unused here; perfbench/tracing.py interposes on these names in this module
+from .kneading import determinant_polynomial, kneading_determinant  # noqa: F401
 from .polynomials import IntPolynomial, smallest_root_in
-from .words import LAP_SIGN, SymbolWord, TAIL_PERIODIC
+from .words import SymbolWord, TAIL_PERIODIC
 
 # entropy lives in [0, log(1+sqrt(2))]; the smallest admissible root of the
 # entropy polynomials is sqrt(2)-1, searched with a hair of margin
@@ -180,7 +182,6 @@ def transition_matrix(partition: MarkovPartition,
 # ----------------------------------------------------------------------
 
 def _mat_mul(A, B):
-    n = len(A)
     Bt = list(zip(*B))
     return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
 
@@ -213,15 +214,8 @@ def entropy_from_charpoly(p: IntPolynomial, tol: float = 1e-13) -> EntropyResult
     return _result_from_root(_band_root(p, tol), "charpoly")
 
 
-def kneading_numerator(word) -> IntPolynomial:
-    """Reduced numerator of the kneading determinant for any resolved word."""
-    if isinstance(word, str) and word and word[-1] in ("C", "A"):
-        return determinant_polynomial(word)
-    return kneading_determinant(word).reduce().num
-
-
 def entropy_from_kneading(word, tol: float = 1e-13) -> EntropyResult:
-    """Entropy from the kneading determinant of a kneading word.
+    """Entropy from the kneading numerator of a kneading word.
 
     Accepts cycle/convergent strings or a resolved SymbolWord (periodic
     tails included, so window-interior sequences work too)."""
@@ -264,33 +258,14 @@ class CurvePoint:
 
 
 def _series_root(syms: str, tol: float = 1e-13) -> float | None:
-    """Smallest band root of the truncated kneading series.
+    """Smallest band root of the kneading series truncated after ``syms``.
 
-    The series is the cleared determinant written symbol by symbol; with
-    the weights bounded by 1 the truncation error at t is below
-    2 t^(H+1) / (1 - t), which the caller checks against the root found.
+    A weighs nothing in the series, so closing the head with A truncates
+    it exactly; with the weights bounded by 1 the truncation error at t is
+    below 2 t^(H+1) / (1 - t), which the caller checks against the root.
     """
-    signs = [1]
-    for s in syms[:-1]:
-        signs.append(signs[-1] * LAP_SIGN[s])
-
-    def f(t: float) -> float:
-        acc = 1.0 - 3.0 * t
-        tm = 1.0
-        for e, s in zip(signs, syms):
-            tm *= t
-            if s == "L":
-                w = t
-            elif s == "M":
-                w = 1.0 - 2.0 * t
-            elif s == "R":
-                w = 1.0 - t
-            else:
-                w = 0.0
-            acc += 2.0 * e * w * tm
-        return acc
-
-    return smallest_root_in(f, BAND_ROOT_LO - 1e-9, 1.0 - 1e-9, tol=tol)
+    return smallest_root_in(kneading_numerator(syms + "A"),
+                            BAND_ROOT_LO - 1e-9, 1.0 - 1e-9, tol=tol)
 
 
 def entropy_point(c: float, horizon: int = 64, max_horizon: int = 4096) -> CurvePoint:

@@ -37,10 +37,6 @@ class IntPolynomial:
     # constructors
     # ------------------------------------------------------------------
     @classmethod
-    def zero(cls) -> "IntPolynomial":
-        return cls()
-
-    @classmethod
     def one(cls) -> "IntPolynomial":
         return cls((1,))
 
@@ -327,12 +323,6 @@ class RationalFunctionInT:
         if r.den_factors:
             raise ArithmeticError(f"{self!r} is not a polynomial")
         return r.num
-
-    def evaluate(self, x: float) -> float:
-        den = 1.0
-        for m in self.den_factors:
-            den *= 1.0 - x ** m
-        return self.num.evaluate(x) / den
 
 
 # ----------------------------------------------------------------------

@@ -98,15 +98,6 @@ class SymbolWord:
             return self.head[self.start + (i - self.start) % p]
         return None
 
-    def prefix(self, n: int) -> str:
-        out = []
-        for i in range(n):
-            s = self.symbol_at(i)
-            if s is None:
-                break
-            out.append(s)
-        return "".join(out)
-
     def shift(self, n: int = 1) -> "SymbolWord":
         """Drop the first n symbols (the shift map applied n times)."""
         if n < 0:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from frozen import CIRCLES, SQUARES, LEVELS, PERIODIC_NUMERATORS
@@ -9,11 +11,20 @@ from quintic_newton.kneading import (
     determinant_polynomial,
     kneading_determinant,
     kneading_increment,
+    kneading_numerator,
     shape_split,
     tree_polynomial_step,
 )
+from quintic_newton.markov import entropy_from_kneading
 from quintic_newton.polynomials import IntPolynomial, RationalFunctionInT
-from quintic_newton.words import SymbolWord, TAIL_A_INF, TAIL_PERIODIC
+from quintic_newton.words import (
+    LAP_SIGN,
+    SymbolWord,
+    TAIL_A_INF,
+    TAIL_PERIODIC,
+    admissible_convergents,
+    admissible_cycles,
+)
 
 
 # ----------------------------------------------------------------------
@@ -128,3 +139,42 @@ def test_a_tail_words_share_the_convergent_polynomial():
     assert kneading_determinant(w) * RationalFunctionInT(
         IntPolynomial([1, -2, 1]), ()) == RationalFunctionInT(
         IntPolynomial(SQUARES["RRA"]), ())
+
+
+# ----------------------------------------------------------------------
+# the numerator kernel against the determinant oracle
+# ----------------------------------------------------------------------
+
+def test_kernel_equals_the_determinant_on_cycle_and_convergent_words():
+    words = list(CIRCLES) + list(SQUARES)
+    for k in range(2, 9):
+        words += admissible_cycles(k) + admissible_convergents(k)
+    # the formally valid intermediates the tree recursion passes through
+    for n in range(6):
+        words += ["".join(p) + "RC" for p in itertools.product("LMR", repeat=n)]
+    for word in words:
+        assert kneading_numerator(word) == determinant_polynomial(word), word
+
+
+def test_kernel_clears_the_periodic_tail_of_the_determinant():
+    words = [SymbolWord(head, TAIL_PERIODIC, start)
+             for head, start in PERIODIC_NUMERATORS]
+    words.append(SymbolWord("RRLRMM", TAIL_PERIODIC, 2))
+    for w in words:
+        sigma = 1
+        for s in w.head[w.start:]:
+            sigma *= LAP_SIGN[s]
+        p = w.period
+        if sigma > 0:
+            series = RationalFunctionInT(kneading_numerator(w), (p,))
+        else:
+            # 1/(1 + t^p) written over (1 - t^2p)
+            series = RationalFunctionInT(
+                kneading_numerator(w) * IntPolynomial.one_minus_t_power(p), (2 * p,))
+        assert kneading_determinant(w) * IntPolynomial([1, -2, 1]) == series, w
+
+
+def test_truncated_series_root_converges_to_the_cycle_root():
+    # RL repeated is the RLRC plateau; A truncates the series after 120 symbols
+    series = entropy_from_kneading("RL" * 60 + "A")
+    assert abs(series.t_star - entropy_from_kneading("RLRC").t_star) < 1e-12
