@@ -178,6 +178,8 @@ def cmd_entropy_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_bifurcation(args: argparse.Namespace) -> int:
+    if args.n < 2:
+        raise ValueError("need at least two grid points")
     rows = ["c,x"]
     skip = args.transient + 1
     for i in range(args.n):
@@ -381,7 +383,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
+def _apply_config(args: argparse.Namespace, argv: list[str],
+                  ap: argparse.ArgumentParser) -> None:
+    """Fill options of the chosen subcommand from the --config file.
+
+    Keys that name no option of the subcommand are skipped; each value goes
+    through its option's type and choices, as it would on the command
+    line."""
     args.config_digest = None
     if not args.config:
         return
@@ -391,14 +399,30 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
     cfg = json.loads(raw)
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    options = {flag: action for action in sub.choices[args.command]._actions
+               for flag in action.option_strings if action.dest != "help"}
     for key, value in cfg.items():
-        dest = key.replace("-", "_")
         flag = "--" + key.replace("_", "-")
-        if not hasattr(args, dest):
-            continue  # option belongs to a different subcommand
+        action = options.get(flag)
+        if action is None:
+            continue  # not an option of this subcommand
         if any(tok == flag or tok.startswith(flag + "=") for tok in argv):
             continue  # explicit flag wins
-        setattr(args, dest, value)
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise ValueError(f"config {key}: expected true or false, "
+                                 f"got {value!r}")
+        else:
+            try:
+                value = (action.type or str)(str(value))
+            except ValueError:
+                raise ValueError(f"config {key}: invalid "
+                                 f"{action.type.__name__} value {value!r}") from None
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"config {key}: invalid choice {value!r} "
+                                 f"(choose from {', '.join(action.choices)})")
+        setattr(args, action.dest, value)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -407,7 +431,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     args.raw_argv = argv
     try:
-        _apply_config(args, argv)
+        _apply_config(args, argv, ap)
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

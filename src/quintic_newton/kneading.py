@@ -2,11 +2,12 @@
 
 Each of the four marked points of the critical frame (free root, left pole,
 zero, right pole) has one-sided symbolic futures; the weighted difference of
-their invariant coordinates is a formal series over the five interval
-symbols with rational-function coefficients in t.  Deleting one column of
-the resulting 4 x 5 matrix and dividing by (1 - eps*t) gives a determinant
-D(t) that does not depend on the deleted column.  For a critical cycle of
-length k the combination
+their invariant coordinates is a row over the five interval symbols, held
+as integer polynomial numerators over one factor (1 - t^q) per row.
+Deleting one column of the resulting 4 x 5 matrix, taking the determinant
+of the numerators and dividing by the row factors and by (1 - eps*t) gives
+a determinant D(t) that does not depend on the deleted column.  For a
+critical cycle of length k the combination
 
     P(t) = D(t) * (1 - t)^2 * (1 - t^k)
 
@@ -50,112 +51,60 @@ class StructureError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# formal series over the symbols
+# rows of the increment matrix: integer numerators over one (1 - t^q)
 # ----------------------------------------------------------------------
 
-class FormalSymbolSeries:
-    """A vector of rational functions in t, one per interval symbol."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components=None):
-        if components is None:
-            components = [RationalFunctionInT() for _ in ALPHABET]
-        comps = list(components)
-        if len(comps) != len(ALPHABET):
-            raise ValueError("need one component per symbol")
-        self.components = [RationalFunctionInT._coerce(c) for c in comps]
-
-    def __getitem__(self, symbol: str) -> RationalFunctionInT:
-        return self.components[_IDX[symbol]]
-
-    def __sub__(self, other: "FormalSymbolSeries") -> "FormalSymbolSeries":
-        return FormalSymbolSeries(
-            [a - b for a, b in zip(self.components, other.components)])
-
-    def __repr__(self):
-        parts = [f"{s}: {c!r}" for s, c in zip(ALPHABET, self.components)
-                 if not c.is_zero()]
-        return "FormalSymbolSeries(" + ", ".join(parts) + ")"
-
-
-def invariant_coordinate(w: SymbolWord) -> FormalSymbolSeries:
+def invariant_coordinate(w: SymbolWord) -> tuple[list[IntPolynomial], int]:
     """theta(w) = sum over positions of (running slope sign) * symbol * t^m.
 
     The word must have a resolved tail and contain no C: the coordinate is
     defined for orbits of ordinary points, and the closed forms for the two
-    tail kinds are geometric series in t.
+    tail kinds are geometric series in t.  Returns ``(numerators, q)``, one
+    integer numerator per symbol of ALPHABET over the common factor
+    (1 - t^q).  A periodic block of length p and slope sign sigma sums to
+    1/(1 - sigma*t^p), written over (1 - t^p) or, for sigma = -1, over
+    (1 - t^2p); an A-tail is the block A repeating, over (1 - t).
     """
     if not isinstance(w, SymbolWord):
         raise WordError("invariant_coordinate expects a SymbolWord")
     if "C" in w.head:
         raise WordError("C has no invariant coordinate; use the cycle forms")
-    comps = [RationalFunctionInT() for _ in ALPHABET]
-    eps = 1
     if w.tail == TAIL_A_INF:
-        for m, s in enumerate(w.head):
-            comps[_IDX[s]] += IntPolynomial.t_power(m, eps)
-            eps *= LAP_SIGN[s]
-        # the final A of the head repeats; slope sign of A is +1
-        comps[_IDX["A"]] += RationalFunctionInT(
-            IntPolynomial.t_power(len(w.head), eps), (1,))
-        return FormalSymbolSeries(comps)
-    if w.tail == TAIL_PERIODIC:
-        start, p = w.start, w.period
-        for m in range(start):
-            s = w.head[m]
-            comps[_IDX[s]] += IntPolynomial.t_power(m, eps)
-            eps *= LAP_SIGN[s]
-        block = w.head[start:start + p]
-        block_sign = 1
-        for s in block:
-            block_sign *= LAP_SIGN[s]
-        if block_sign > 0:
-            factor = RationalFunctionInT(IntPolynomial.one(), (p,))
-        else:
-            # alternating repetition: 1/(1 + t^p) written over (1 - t^2p)
-            factor = RationalFunctionInT(
-                IntPolynomial.one_minus_t_power(p), (2 * p,))
-        for j, s in enumerate(block):
-            term = RationalFunctionInT(
-                IntPolynomial.t_power(start + j, eps)) * factor
-            comps[_IDX[s]] += term
-            eps *= LAP_SIGN[s]
-        return FormalSymbolSeries(comps)
-    raise WordError(f"cannot form the coordinate of an unresolved word {w}")
+        start = len(w.head) - 1
+    elif w.tail == TAIL_PERIODIC:
+        start = w.start
+    else:
+        raise WordError(f"cannot form the coordinate of an unresolved word {w}")
+    p = len(w.head) - start
+    sigma = 1
+    for s in w.head[start:]:
+        sigma *= LAP_SIGN[s]
+    q = p if sigma > 0 else 2 * p
+    rows = [[0] * (start + q) for _ in ALPHABET]
+    eps = 1
+    for m, s in enumerate(w.head):
+        row = rows[_IDX[s]]
+        row[m] += eps
+        if m < start:
+            row[m + q] -= eps        # a head term, times (1 - t^q)
+        elif sigma < 0:
+            row[m + p] -= eps        # a block term, times (1 - t^p)
+        eps *= LAP_SIGN[s]
+    return [IntPolynomial(r) for r in rows], q
 
 
-# ----------------------------------------------------------------------
-# the four kneading increments
-# ----------------------------------------------------------------------
-
-def _universal_increments() -> tuple[FormalSymbolSeries, FormalSymbolSeries,
-                                     FormalSymbolSeries]:
-    """Increments at the free root and the two poles.
-
-    Their one-sided futures do not depend on the parameter inside the
-    no-root band: the root side falls to an infinite A run, pole sides
-    escape to the far right and then run down the R branch.
-    """
-    one_minus_t = (1,)
-    nu0 = FormalSymbolSeries()
-    nu0.components[_IDX["B"]] = RationalFunctionInT(IntPolynomial.one())
-    nu0.components[_IDX["A"]] = RationalFunctionInT(
-        IntPolynomial([-1, -1]), one_minus_t)          # -(1+t)/(1-t)
-    nu1 = FormalSymbolSeries()
-    nu1.components[_IDX["L"]] = RationalFunctionInT(IntPolynomial.one())
-    nu1.components[_IDX["B"]] = RationalFunctionInT(IntPolynomial([-1]))
-    nu1.components[_IDX["A"]] = RationalFunctionInT(
-        IntPolynomial([0, 1]), one_minus_t)            # t/(1-t)
-    nu1.components[_IDX["R"]] = RationalFunctionInT(
-        IntPolynomial([0, -1]), one_minus_t)           # -t/(1-t)
-    nu3 = FormalSymbolSeries()
-    nu3.components[_IDX["R"]] = RationalFunctionInT(
-        IntPolynomial([1, -2]), one_minus_t)           # 1 - t/(1-t) = (1-2t)/(1-t)
-    nu3.components[_IDX["M"]] = RationalFunctionInT(IntPolynomial([-1]))
-    nu3.components[_IDX["A"]] = RationalFunctionInT(
-        IntPolynomial([0, 1]), one_minus_t)            # t/(1-t)
-    return nu0, nu1, nu3
+# The increments at the free root and the two poles, over (1 - t).  Their
+# one-sided futures do not depend on the parameter inside the no-root band:
+# the root side falls to an infinite A run, pole sides escape to the far
+# right and then run down the R branch.
+_UNIVERSAL_ROWS = {
+    # -(1+t)/(1-t) A + B
+    0: ((-1, -1), (1, -1), (), (), ()),
+    # t/(1-t) A - B + L - t/(1-t) R
+    1: ((0, 1), (-1, 1), (1, -1), (), (0, -1)),
+    # t/(1-t) A - M + (1 - t/(1-t)) R
+    3: ((0, 1), (), (), (-1, 1), (1, -2)),
+}
 
 
 def _critical_side_streams(word) -> tuple[SymbolWord, SymbolWord]:
@@ -196,74 +145,60 @@ def _critical_side_streams(word) -> tuple[SymbolWord, SymbolWord]:
     raise WordError(f"cannot take side streams of an unresolved word {word}")
 
 
-def kneading_increment(point_index: int, word=None) -> FormalSymbolSeries:
+def kneading_increment(point_index: int, word=None) -> tuple[list[IntPolynomial], int]:
     """nu_i for marked point i in {0: root, 1: left pole, 2: zero, 3: right
-    pole}.  The zero increment needs the kneading word; the others are
-    parameter independent."""
-    nu0, nu1, nu3 = _universal_increments()
-    if point_index == 0:
-        return nu0
-    if point_index == 1:
-        return nu1
-    if point_index == 3:
-        return nu3
+    pole}, as ``(numerators, q)`` like ``invariant_coordinate``.  The zero
+    increment needs the kneading word; the others are parameter
+    independent."""
+    if point_index in _UNIVERSAL_ROWS:
+        return [IntPolynomial(c) for c in _UNIVERSAL_ROWS[point_index]], 1
     if point_index == 2:
         if word is None:
             raise ValueError("the zero increment needs the kneading word")
-        plus, minus = _critical_side_streams(word)
-        return invariant_coordinate(plus) - invariant_coordinate(minus)
+        # the two streams share their periodic block, hence their q
+        (plus, q), (minus, _) = map(invariant_coordinate,
+                                    _critical_side_streams(word))
+        return [a - b for a, b in zip(plus, minus)], q
     raise ValueError(f"no marked point {point_index}")
-
-
-@dataclass(frozen=True)
-class KneadingMatrix:
-    """The 4 x 5 matrix of increments, rows ordered by marked point."""
-
-    rows: tuple[FormalSymbolSeries, FormalSymbolSeries,
-                FormalSymbolSeries, FormalSymbolSeries]
-
-    @classmethod
-    def from_word(cls, word) -> "KneadingMatrix":
-        return cls(tuple(kneading_increment(i, word) for i in range(4)))
 
 
 # ----------------------------------------------------------------------
 # determinant
 # ----------------------------------------------------------------------
 
-def _det(rows: list[list[RationalFunctionInT]]) -> RationalFunctionInT:
+def _det(rows: list[list[IntPolynomial]]) -> IntPolynomial:
     if len(rows) == 1:
         return rows[0][0]
-    acc = RationalFunctionInT()
-    for j in range(len(rows)):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _det(minor)
+    acc = IntPolynomial()
+    for j, a in enumerate(rows[0]):
+        if a.is_zero():
+            continue
+        term = a * _det([r[:j] + r[j + 1:] for r in rows[1:]])
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
 
 
-def kneading_determinant(word_or_matrix, column: str = "B") -> RationalFunctionInT:
+def kneading_determinant(word, column: str = "B") -> RationalFunctionInT:
     """D(t) from the increment matrix with one column struck out.
 
-    The result is independent of the choice of column; the default B keeps
-    the intermediate expressions smallest.  The struck column's slope sign
-    eps enters through the final division by (1 - eps*t).
+    The result is independent of the choice of column.  The determinant of
+    the integer numerators sits over the product of the four row factors;
+    the struck column's slope sign eps enters through the final division
+    by (1 - eps*t).
     """
-    if isinstance(word_or_matrix, KneadingMatrix):
-        matrix = word_or_matrix
-    else:
-        matrix = KneadingMatrix.from_word(word_or_matrix)
     j = _IDX[column]
-    keep = [s for s in ALPHABET if s != column]
-    rows = [[row[s] for s in keep] for row in matrix.rows]
-    det = _det(rows)
+    rows = [kneading_increment(i, word) for i in range(4)]
+    det = _det([nums[:j] + nums[j + 1:] for nums, _ in rows])
+    factors = [q for _, q in rows]
     if j % 2 == 1:
         det = -det
-    eps = COLUMN_SIGNS[j]
-    if eps > 0:
-        return det.over(1)                       # / (1 - t)
-    # / (1 + t), written exactly as * (1 - t) / (1 - t^2)
-    return (det * IntPolynomial.one_minus_t_power(1)).over(2)
+    if COLUMN_SIGNS[j] > 0:
+        factors.append(1)                        # / (1 - t)
+    else:
+        # / (1 + t), written exactly as * (1 - t) / (1 - t^2)
+        det = det * IntPolynomial.one_minus_t_power(1)
+        factors.append(2)
+    return RationalFunctionInT(det, factors)
 
 
 def determinant_polynomial(word) -> IntPolynomial:
@@ -273,13 +208,10 @@ def determinant_polynomial(word) -> IntPolynomial:
     Raises ArithmeticError if the product fails to be a polynomial, which
     would mean the word does not carry a consistent increment."""
     D = kneading_determinant(word)
-    sq = IntPolynomial([1, -2, 1])               # (1 - t)^2
+    out = D.num * IntPolynomial([1, -2, 1])      # (1 - t)^2
     if isinstance(word, str) and word.endswith("C"):
-        k = len(word)
-        out = D * sq * IntPolynomial.one_minus_t_power(k)
-    else:
-        out = D * sq
-    return out.as_polynomial()
+        out = out * IntPolynomial.one_minus_t_power(len(word))
+    return out.div_exact(D.den)
 
 
 # ----------------------------------------------------------------------

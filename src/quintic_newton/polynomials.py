@@ -4,9 +4,10 @@ Everything downstream of the symbolic coding (kneading increments,
 determinants, characteristic polynomials) must be exact: the entropy
 comparisons in the test suite check integer coefficient lists, not floats.
 Coefficients are Python ints stored lowest power first with trailing zeros
-stripped.  Denominators of rational functions are kept as explicit multisets
-of (1 - t^m) factors, which is the only kind of denominator the coding
-produces; cancellation against the numerator is exact integer division.
+stripped, and division is exact integer division that raises when it does
+not come out even.  The kneading algebra works on integer numerators and
+wraps its result once as a ``RationalFunctionInT``, whose denominator is an
+explicit multiset of (1 - t^m) factors, the only kind the coding produces.
 
 Floating point enters only through ``evaluate`` and the root bisection
 helpers at the bottom.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 
 class IntPolynomial:
@@ -153,30 +154,26 @@ class IntPolynomial:
         return IntPolynomial([0] * m + list(self.coeffs))
 
     def divmod(self, other: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
-        """Polynomial division over Q; raises if the quotient or remainder
-        fails to have integer coefficients."""
+        """Polynomial division; raises ArithmeticError when the quotient, and
+        with it the remainder, fails to have integer coefficients."""
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = [Fraction(c) for c in self.coeffs]
-        quot = [Fraction(0)] * max(1, len(rem) - len(other.coeffs) + 1)
-        dlead = Fraction(other.coeffs[-1])
+        rem = list(self.coeffs)
+        quot = [0] * max(1, len(rem) - len(other.coeffs) + 1)
+        dlead = other.coeffs[-1]
         dn = len(other.coeffs)
         for i in range(len(rem) - dn, -1, -1):
-            f = rem[i + dn - 1] / dlead
+            f, r = divmod(rem[i + dn - 1], dlead)
+            if r:
+                raise ArithmeticError(
+                    f"non-integer coefficient {rem[i + dn - 1]}/{dlead} "
+                    "in exact division")
             quot[i] = f
             if f:
                 for j, b in enumerate(other.coeffs):
                     rem[i + j] -= f * b
-        def as_ints(fr: Sequence[Fraction]) -> IntPolynomial:
-            out = []
-            for f in fr:
-                if f.denominator != 1:
-                    raise ArithmeticError(
-                        f"non-integer coefficient {f} in exact division")
-                out.append(int(f))
-            return IntPolynomial(out)
-        return as_ints(quot), as_ints(rem[: dn - 1])
+        return IntPolynomial(quot), IntPolynomial(rem[: dn - 1])
 
     def try_div_exact(self, other: "IntPolynomial") -> "IntPolynomial | None":
         """self / other when the division is exact over Z, else None."""
@@ -291,10 +288,6 @@ class RationalFunctionInT:
                                    self.den_factors + other.den_factors)
 
     __rmul__ = __mul__
-
-    def over(self, m: int) -> "RationalFunctionInT":
-        """Divide by the factor (1 - t^m)."""
-        return RationalFunctionInT(self.num, self.den_factors + (m,))
 
     def __eq__(self, other) -> bool:
         try:

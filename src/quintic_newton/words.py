@@ -18,7 +18,6 @@ the carrier the orbit coding returns and the CLI serializes.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -294,22 +293,36 @@ def _admissible_periodic_block(block: str) -> bool:
 # enumeration
 # ----------------------------------------------------------------------
 
-def admissible_cycles(k: int) -> list[str]:
-    """All admissible cycle words of length k, sorted by order_compare."""
-    out = [w for w in (
-        "".join(combo) + "C" for combo in itertools.product("LMR", repeat=k - 1))
-        if is_admissible(w)]
+def _admissible_words(k: int, close: str) -> list[str]:
+    """Admissible words of length k ending in ``close`` (C or A), sorted.
+
+    Candidates are the walks on the transition graph over L, M, R that
+    start on the positive side and end in R, the only interior letter
+    that may precede C or A, generated in the lexicographic order of their
+    letters so that words ``order_compare`` cannot tell apart keep it.
+    ``is_admissible`` then checks shift dominance.
+    """
+    walks = [""]
+    for _ in range(k - 1):
+        walks = [w + s for w in walks
+                 for s in (_FOLLOWERS[w[-1]] if w else "MR") if s in "LMR"]
+    out = [w + close for w in walks
+           if w.endswith("R") and is_admissible(w + close)]
     out.sort(key=functools.cmp_to_key(order_compare))
     return out
+
+
+def admissible_cycles(k: int) -> list[str]:
+    """All admissible cycle words of length k, sorted by order_compare."""
+    return _admissible_words(k, "C")
 
 
 def admissible_convergents(k: int) -> list[str]:
-    """All admissible convergent words of length k, sorted by order."""
-    out = [w for w in (
-        "".join(combo) + "A" for combo in itertools.product("LMR", repeat=k - 1))
-        if is_admissible(w)]
-    out.sort(key=functools.cmp_to_key(order_compare))
-    return out
+    """All admissible convergent words of length k, sorted by order.
+
+    These are cycle interiors closed by A; words absorbed through B or a
+    longer A run, such as RBA, pass ``is_admissible`` but are not listed."""
+    return _admissible_words(k, "A")
 
 
 # ----------------------------------------------------------------------

@@ -96,6 +96,37 @@ def test_config_digest_lands_in_sidecar(tmp_path):
     assert record["config_sha256"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
 
 
+def test_config_values_go_through_the_option_type(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": "3", "lo": 0.5, "hi": "1.0"}))
+    assert main(["--config", str(cfg), "entropy-curve"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    for command, bad in (("entropy-curve", {"n": "five"}),
+                         ("entropy-curve", {"n": 2.5}),
+                         ("tree", {"format": "xml"}),
+                         ("reduce", {"json": "yes"})):
+        cfg.write_text(json.dumps(bad))
+        argv = ["--config", str(cfg), command] + (["1", "1"] if command == "reduce" else [])
+        assert main(argv) == 2, bad
+        assert capsys.readouterr().err.startswith("error: config "), bad
+
+
+def test_config_skips_keys_that_are_not_options(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"func": 1, "command": "tree", "raw_argv": 1,
+                               "config_digest": "x", "config": "other.json",
+                               "a": 9, "help": True, "n": 3}))
+    out = tmp_path / "c.csv"
+    assert main(["--config", str(cfg), "entropy-curve", "--lo", "0.5",
+                 "--hi", "0.9", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 4
+    record = json.loads((tmp_path / "c.csv.run.json").read_text())
+    assert record["command"] == "entropy-curve"
+    assert record["config_sha256"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
+    assert main(["--config", str(cfg), "reduce", "2", "--", "-1"]) == 0
+    assert "c = -2" in capsys.readouterr().out   # the positional a is not an option
+
+
 def test_bifurcation_csv(capsys):
     assert main(["bifurcation", "--lo", "1.0", "--hi", "1.3", "--n", "4",
                  "--transient", "50", "--samples", "3"]) == 0
@@ -113,6 +144,12 @@ def test_bifurcation_errors_when_a_column_keeps_hitting_a_pole(monkeypatch, caps
     monkeypatch.setattr(cli, "orbit_points", always_pole)
     assert main(["bifurcation", "--lo", "1.0", "--hi", "1.3", "--n", "4"]) == 2
     assert "pole" in capsys.readouterr().err
+
+
+def test_bifurcation_needs_two_grid_points(capsys):
+    for n in ("1", "0"):
+        assert main(["bifurcation", "--n", n]) == 2
+        assert capsys.readouterr().err == "error: need at least two grid points\n"
 
 
 def test_verify_suites_pass(capsys):

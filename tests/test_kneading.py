@@ -39,7 +39,14 @@ def test_rlrc_determinant_closed_form():
 
 
 def test_determinant_is_column_independent():
-    for word in ("RC", "MRC", "RLRC", "MMRRC"):
+    # cycle strings, periodic blocks with sigma = +1 (RM, MR) and -1 (RL,
+    # RLM), and an A-tail
+    for word in ("RC", "MRC", "RLRC", "MMRRC",
+                 SymbolWord("RM", TAIL_PERIODIC, 0),
+                 SymbolWord("RRLRMR", TAIL_PERIODIC, 4),
+                 SymbolWord("RL", TAIL_PERIODIC, 0),
+                 SymbolWord("RRRLM", TAIL_PERIODIC, 2),
+                 SymbolWord("RMMRLRA", TAIL_A_INF)):
         values = [kneading_determinant(word, column=col)
                   for col in "ABLMR"]
         assert all(v == values[0] for v in values[1:])
@@ -147,7 +154,7 @@ def test_a_tail_words_share_the_convergent_polynomial():
 
 def test_kernel_equals_the_determinant_on_cycle_and_convergent_words():
     words = list(CIRCLES) + list(SQUARES)
-    for k in range(2, 9):
+    for k in range(2, 11):
         words += admissible_cycles(k) + admissible_convergents(k)
     # the formally valid intermediates the tree recursion passes through
     for n in range(6):

@@ -128,6 +128,19 @@ def test_admissible_counts_match_brute_force():
         assert sorted(got) == sorted(brute)
 
 
+def test_admissible_convergents_match_brute_force():
+    # convergent words are cycle interiors closed by A; is_admissible also
+    # accepts words absorbed through B or a longer A run (RBA, RAA), which
+    # the tree does not list
+    for k in range(2, 8):
+        brute = ["".join(w) + "A"
+                 for w in itertools.product("ABLCMR", repeat=k - 1)
+                 if is_admissible("".join(w) + "A")]
+        interior = [w for w in brute if set(w[:-1]) <= set("LMR")]
+        assert all("B" in w or "AA" in w for w in brute if w not in interior)
+        assert sorted(admissible_convergents(k)) == sorted(interior), k
+
+
 def test_admissible_cycles_level_7_count():
     assert len(admissible_cycles(7)) == LEVELS[7]
 
