@@ -383,32 +383,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str],
-                  ap: argparse.ArgumentParser) -> None:
-    """Fill options of the chosen subcommand from the --config file.
+def _config_defaults(path: str, parser: argparse.ArgumentParser) -> str:
+    """Make the --config file's values the defaults of a subcommand's
+    options, so that flags given on the command line win; returns the
+    file's sha256.
 
     Keys that name no option of the subcommand are skipped; each value goes
     through its option's type and choices, as it would on the command
     line."""
-    args.config_digest = None
-    if not args.config:
-        return
-    with open(args.config, "rb") as fh:
+    with open(path, "rb") as fh:
         raw = fh.read()
-    args.config_digest = hashlib.sha256(raw).hexdigest()
     cfg = json.loads(raw)
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
-    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
-    options = {flag: action for action in sub.choices[args.command]._actions
+    options = {flag: action for action in parser._actions
                for flag in action.option_strings if action.dest != "help"}
+    defaults = {}
     for key, value in cfg.items():
-        flag = "--" + key.replace("_", "-")
-        action = options.get(flag)
+        action = options.get("--" + key.replace("_", "-"))
         if action is None:
             continue  # not an option of this subcommand
-        if any(tok == flag or tok.startswith(flag + "=") for tok in argv):
-            continue  # explicit flag wins
         if action.nargs == 0:
             if not isinstance(value, bool):
                 raise ValueError(f"config {key}: expected true or false, "
@@ -422,16 +416,24 @@ def _apply_config(args: argparse.Namespace, argv: list[str],
             if action.choices is not None and value not in action.choices:
                 raise ValueError(f"config {key}: invalid choice {value!r} "
                                  f"(choose from {', '.join(action.choices)})")
-        setattr(args, action.dest, value)
+        defaults[action.dest] = value
+    parser.set_defaults(**defaults)
+    return hashlib.sha256(raw).hexdigest()
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = _build_parser()
     args = ap.parse_args(argv)
-    args.raw_argv = argv
     try:
-        _apply_config(args, argv, ap)
+        digest = None
+        if args.config:
+            sub = next(a for a in ap._actions
+                       if isinstance(a, argparse._SubParsersAction))
+            digest = _config_defaults(args.config, sub.choices[args.command])
+            args = ap.parse_args(argv)
+        args.raw_argv = argv
+        args.config_digest = digest
         return args.func(args)
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .words import RANK, is_admissible
+from .words import SymbolWord, as_word, is_admissible, order_compare
 
 # Parameter where the right local minimum of x^5 - c*x + 1 touches the axis:
 # above it the polynomial has three real roots, below it one.
@@ -360,22 +360,7 @@ def critical_symbols(c: float, n: int, tol: float = 1e-10) -> str:
 # superstable parameter location
 # ----------------------------------------------------------------------
 
-def _compare_stream_to_cycle(stream: str, word: str) -> int:
-    """Signed lex comparison of a finite stream against a repeating cycle
-    word; 0 when the stream never separates from the cycle."""
-    k = len(word)
-    flips = 0
-    for i, s in enumerate(stream):
-        w = word[i % k]
-        if s != w:
-            cmp = 1 if RANK[s] > RANK[w] else -1
-            return cmp if flips % 2 == 0 else -cmp
-        if s in ("B", "L"):
-            flips += 1
-    return 0
-
-
-def find_superstable_parameter(word: str, bracket: tuple[float, float] | None = None,
+def find_superstable_parameter(word, bracket: tuple[float, float] | None = None,
                                tol: float = 1e-13) -> float:
     """Parameter where the critical orbit closes up on the given cycle word.
 
@@ -385,9 +370,10 @@ def find_superstable_parameter(word: str, bracket: tuple[float, float] | None = 
     ValueError when the word is not an admissible cycle word or no
     parameter in the bracket realizes it.
     """
-    if not (isinstance(word, str) and word.endswith("C") and is_admissible(word)):
+    target = as_word(word)
+    if not (target.is_cycle() and is_admissible(target)):
         raise ValueError(f"not an admissible cycle word: {word!r}")
-    k = len(word)
+    k = len(target.head)
     lo, hi = bracket if bracket is not None else (1e-4, C0 - 1e-9)
     if not (0.0 < lo < hi):
         raise ValueError(f"bad bracket {bracket!r}")
@@ -398,7 +384,7 @@ def find_superstable_parameter(word: str, bracket: tuple[float, float] | None = 
 
     def side(c: float) -> int:
         # realized > word means c is below the target, realized < word above
-        return _compare_stream_to_cycle(stream(c, horizon), word)
+        return order_compare(SymbolWord(stream(c, horizon)), target, horizon)
 
     s_lo, s_hi = side(lo), side(hi)
     if s_lo < 0 or s_hi > 0:
@@ -461,7 +447,7 @@ def find_superstable_parameter(word: str, bracket: tuple[float, float] | None = 
         raise ValueError(
             f"{word} not realized: return residual {residual:.3e} at c={c_star!r}")
     realized = stream(c_star, k)[: k - 1]
-    if realized != word[: k - 1]:
+    if realized != target.head[: k - 1]:
         raise ValueError(
-            f"bracket closed on {realized!r}, not {word[:-1]!r}")
+            f"bracket closed on {realized!r}, not {target.head[:-1]!r}")
     return c_star

@@ -34,6 +34,7 @@ from .words import (
     TAIL_PERIODIC,
     TAIL_UNRESOLVED,
     WordError,
+    as_word,
     generate_tree,
     parse_parent,
 )
@@ -54,7 +55,7 @@ class StructureError(ValueError):
 # rows of the increment matrix: integer numerators over one (1 - t^q)
 # ----------------------------------------------------------------------
 
-def invariant_coordinate(w: SymbolWord) -> tuple[list[IntPolynomial], int]:
+def invariant_coordinate(w) -> tuple[list[IntPolynomial], int]:
     """theta(w) = sum over positions of (running slope sign) * symbol * t^m.
 
     The word must have a resolved tail and contain no C: the coordinate is
@@ -65,8 +66,7 @@ def invariant_coordinate(w: SymbolWord) -> tuple[list[IntPolynomial], int]:
     1/(1 - sigma*t^p), written over (1 - t^p) or, for sigma = -1, over
     (1 - t^2p); an A-tail is the block A repeating, over (1 - t).
     """
-    if not isinstance(w, SymbolWord):
-        raise WordError("invariant_coordinate expects a SymbolWord")
+    w = as_word(w)
     if "C" in w.head:
         raise WordError("C has no invariant coordinate; use the cycle forms")
     if w.tail == TAIL_A_INF:
@@ -115,34 +115,22 @@ def _critical_side_streams(word) -> tuple[SymbolWord, SymbolWord]:
     from that point on); for other resolved words the two streams differ
     only in the leading symbol.
     """
-    if isinstance(word, str):
-        if word.endswith("C"):
-            interior = word[:-1]
-            if "C" in interior:
-                raise WordError(f"misplaced C in {word!r}")
-            sign = 1
-            for s in interior:
-                sign *= LAP_SIGN[s]
-            x = "M" if sign > 0 else "L"
-            k = len(word)
-            plus = SymbolWord("M" + interior + x + interior, TAIL_PERIODIC, k)
-            minus = SymbolWord("L" + interior + x + interior, TAIL_PERIODIC, k)
-            return plus, minus
-        word = SymbolWord(word, TAIL_A_INF if word.endswith("A") else TAIL_UNRESOLVED)
-    if not isinstance(word, SymbolWord):
-        raise WordError(f"not a word: {word!r}")
-    if "C" in word.head:
-        if word.tail == TAIL_PERIODIC and word.start == 0 \
-                and word.head.endswith("C") and word.head.count("C") == 1:
-            return _critical_side_streams(word.head)
+    word = as_word(word)
+    head = word.head
+    if word.is_cycle():
+        interior = head[:-1]
+        sign = 1
+        for s in interior:
+            sign *= LAP_SIGN[s]
+        x = "M" if sign > 0 else "L"
+        k = len(head)
+        return (SymbolWord("M" + interior + x + interior, TAIL_PERIODIC, k),
+                SymbolWord("L" + interior + x + interior, TAIL_PERIODIC, k))
+    if "C" in head or word.tail == TAIL_UNRESOLVED:
         raise WordError(f"cannot take side streams of {word}")
-    if word.tail == TAIL_A_INF:
-        return (SymbolWord("M" + word.head, TAIL_A_INF),
-                SymbolWord("L" + word.head, TAIL_A_INF))
-    if word.tail == TAIL_PERIODIC:
-        return (SymbolWord("M" + word.head, TAIL_PERIODIC, word.start + 1),
-                SymbolWord("L" + word.head, TAIL_PERIODIC, word.start + 1))
-    raise WordError(f"cannot take side streams of an unresolved word {word}")
+    start = word.start + 1 if word.tail == TAIL_PERIODIC else 0
+    return (SymbolWord("M" + head, word.tail, start),
+            SymbolWord("L" + head, word.tail, start))
 
 
 def kneading_increment(point_index: int, word=None) -> tuple[list[IntPolynomial], int]:
@@ -207,10 +195,11 @@ def determinant_polynomial(word) -> IntPolynomial:
     Cycle words clear (1-t)^2 (1-t^k); convergent words clear (1-t)^2.
     Raises ArithmeticError if the product fails to be a polynomial, which
     would mean the word does not carry a consistent increment."""
+    word = as_word(word)
     D = kneading_determinant(word)
     out = D.num * IntPolynomial([1, -2, 1])      # (1 - t)^2
-    if isinstance(word, str) and word.endswith("C"):
-        out = out * IntPolynomial.one_minus_t_power(len(word))
+    if word.is_cycle():
+        out = out * IntPolynomial.one_minus_t_power(len(word.head))
     return out.div_exact(D.den)
 
 

@@ -217,7 +217,7 @@ def entropy_from_charpoly(p: IntPolynomial, tol: float = 1e-13) -> EntropyResult
 def entropy_from_kneading(word, tol: float = 1e-13) -> EntropyResult:
     """Entropy from the kneading numerator of a kneading word.
 
-    Accepts cycle/convergent strings or a resolved SymbolWord (periodic
+    Accepts any form ``words.as_word`` reads with a resolved tail (periodic
     tails included, so window-interior sequences work too)."""
     return _result_from_root(_band_root(kneading_numerator(word), tol), "kneading")
 

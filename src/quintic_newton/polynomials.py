@@ -14,10 +14,9 @@ helpers at the bottom.
 """
 from __future__ import annotations
 
-import math
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 
 class IntPolynomial:
@@ -322,22 +321,22 @@ class RationalFunctionInT:
 # root isolation
 # ----------------------------------------------------------------------
 
-def smallest_root_in(f: Callable[[float], float] | IntPolynomial,
-                     lo: float, hi: float,
-                     steps: int = 4096, tol: float = 1e-13) -> float | None:
-    """Smallest zero of f in [lo, hi] found by a sign-change scan plus
-    bisection.  The polynomials this gets applied to have simple smallest
-    roots, so a scan at this resolution does not miss them.  Returns None
-    when no sign change is found."""
-    if isinstance(f, IntPolynomial):
-        poly = f
-        f = poly.evaluate
+_SCAN_STEPS = 4096
+
+
+def smallest_root_in(poly: IntPolynomial, lo: float, hi: float,
+                     tol: float = 1e-13) -> float | None:
+    """Smallest zero of poly in [lo, hi] found by a sign-change scan over
+    _SCAN_STEPS equal cells plus bisection.  The polynomials this gets
+    applied to have simple smallest roots, so a scan at this resolution
+    does not miss them.  Returns None when no sign change is found."""
+    f = poly.evaluate
     prev_x = lo
     prev_v = f(lo)
     if prev_v == 0.0:
         return lo
-    for i in range(1, steps + 1):
-        x = lo + (hi - lo) * i / steps
+    for i in range(1, _SCAN_STEPS + 1):
+        x = lo + (hi - lo) * i / _SCAN_STEPS
         v = f(x)
         if v == 0.0:
             return x

@@ -3,26 +3,33 @@
 The letters name the pieces of the real line cut by the critical frame of
 the Newton map: A left of the free root, B between the root and the left
 pole, L between the left pole and zero, C exactly zero, M between zero and
-the right pole, R to the right of it.  Words come in three flavours:
+the right pole, R to the right of it.
 
-* cycle words, written as a plain string ending in C, e.g. ``"RLRC"`` --
-  the critical cycle read once, understood to repeat;
-* convergent words ending in A, e.g. ``"RRA"`` -- the head is read once
-  and the final A repeats forever;
-* general itineraries carried by :class:`SymbolWord`, whose tail may be
-  unresolved, an infinite run of A, or a periodic suffix of the head.
+A word is a :class:`SymbolWord`: a head of symbols and a tail saying how
+the sequence goes on, unresolved, an infinite run of A, or a periodic
+suffix of the head.  The order, admissibility, the kneading algebra and
+the locator read every word argument through :func:`as_word`, which
+accepts four forms:
 
-Most of the algebra works with the plain-string forms; ``SymbolWord`` is
-the carrier the orbit coding returns and the CLI serializes.
+* a ``SymbolWord``, as it is;
+* its printed form, ``"RRA^inf"`` or ``"M(RRC)^"``;
+* a cycle word, a plain string ending in C such as ``"RLRC"`` -- the
+  critical cycle read once, repeating from its first letter;
+* a convergent word, a plain string ending in A such as ``"RRA"`` -- the
+  head read once, then A forever;
+
+and reads any other string as an unresolved head.  The enumeration and
+the tree hand out cycle and convergent words as plain strings, and the
+tree's suffix parsing works on those strings directly.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
 
 SYMBOLS = "ABLCMR"
 RANK = {s: i for i, s in enumerate(SYMBOLS)}
+_SYMBOL_SET = frozenset(SYMBOLS)
 
 # sign of the map's slope on each piece; C is the turning point itself
 LAP_SIGN = {"A": 1, "B": -1, "L": -1, "M": 1, "R": 1, "C": 0}
@@ -35,6 +42,8 @@ _FOLLOWERS = {
     "M": "MR",
     "R": "ABLMR",
 }
+# the letters of an admissible word, apart from a closing C or A
+_INTERIOR = frozenset("LMR")
 
 TAIL_UNRESOLVED = "unresolved"
 TAIL_A_INF = "a-inf"
@@ -49,7 +58,7 @@ class WordError(ValueError):
 # SymbolWord: head + tail classification
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymbolWord:
     """A one-sided symbol sequence with an explicitly classified tail.
 
@@ -64,9 +73,9 @@ class SymbolWord:
     start: int = 0
 
     def __post_init__(self):
-        for s in self.head:
-            if s not in RANK:
-                raise WordError(f"unknown symbol {s!r}")
+        if not _SYMBOL_SET.issuperset(self.head):
+            bad = "".join(sorted(set(self.head) - _SYMBOL_SET))
+            raise WordError(f"unknown symbols {bad!r} in {self.head!r}")
         if self.tail == TAIL_A_INF:
             if not self.head or self.head[-1] != "A":
                 raise WordError("an A-tail must follow a head ending in A")
@@ -83,19 +92,26 @@ class SymbolWord:
             return len(self.head) - self.start
         return None
 
-    def is_infinite(self) -> bool:
-        return self.tail != TAIL_UNRESOLVED
+    def is_cycle(self) -> bool:
+        """Periodic from index 0 with its only C at the end: a critical
+        orbit that closes up."""
+        return (self.tail == TAIL_PERIODIC and self.start == 0
+                and self.head.find("C") == len(self.head) - 1)
+
+    def prefix(self, n: int) -> str:
+        """The first n symbols, or all of an unresolved head shorter than n."""
+        head = self.head
+        if n <= len(head) or self.tail == TAIL_UNRESOLVED:
+            return head[:n]
+        if self.tail == TAIL_A_INF:
+            return head + "A" * (n - len(head))
+        block = head[self.start:]
+        return (head + block * ((n - len(head)) // len(block) + 1))[:n]
 
     def symbol_at(self, i: int) -> str | None:
         """Symbol at position i, or None when past an unresolved head."""
-        if i < len(self.head):
-            return self.head[i]
-        if self.tail == TAIL_A_INF:
-            return "A"
-        if self.tail == TAIL_PERIODIC:
-            p = len(self.head) - self.start
-            return self.head[self.start + (i - self.start) % p]
-        return None
+        p = self.prefix(i + 1)
+        return p[i] if i < len(p) else None
 
     def shift(self, n: int = 1) -> "SymbolWord":
         """Drop the first n symbols (the shift map applied n times)."""
@@ -143,29 +159,17 @@ class SymbolWord:
         return cls(text, TAIL_UNRESOLVED)
 
 
-# ----------------------------------------------------------------------
-# plain-string cycle/convergent words and the infinite-view helper
-# ----------------------------------------------------------------------
-
-def _as_stream(w) -> tuple[Callable[[int], str], int | None]:
-    """Uniform infinite view of a word.
-
-    Accepts a SymbolWord with a resolved tail, a C-ending cycle string, or
-    an A-ending convergent string.  Returns (symbol_at, period) where period
-    is None for non-periodic words.
-    """
+def as_word(w) -> SymbolWord:
+    """Read a word argument in any of the forms the module docstring lists."""
     if isinstance(w, SymbolWord):
-        if not w.is_infinite():
-            raise WordError(f"{w} has an unresolved tail")
-        return w.symbol_at, w.period
+        return w
     if not isinstance(w, str) or not w:
         raise WordError(f"not a word: {w!r}")
-    if "^" in w or "(" in w:
-        return _as_stream(SymbolWord.parse(w))
     if w.endswith("C"):
-        k = len(w)
-        return (lambda i: w[i % k]), k
-    return (lambda i: w[i] if i < len(w) else "A"), None
+        return SymbolWord(w, TAIL_PERIODIC, 0)
+    if w.endswith("A"):
+        return SymbolWord(w, TAIL_A_INF)
+    return SymbolWord.parse(w)
 
 
 # ----------------------------------------------------------------------
@@ -178,21 +182,24 @@ def order_compare(a, b, horizon: int = 256) -> int:
     Symbols are ranked A < B < L < C < M < R; the comparison at the first
     index where the words differ is reversed when the number of
     orientation-reversing letters (B or L) seen before that index is odd.
-    Words that agree to ``horizon`` compare equal.
+    Words that agree to ``horizon``, or to the end of an unresolved head,
+    compare equal.  The prefixes compared double in length from the longer
+    head, so words that differ early are told apart cheaply.
     """
-    fa, pa = _as_stream(a)
-    fb, pb = _as_stream(b)
-    if pa is not None and pb is not None:
-        horizon = min(horizon, pa * pb + max(pa, pb))
-    flips = 0
-    for i in range(horizon):
-        x, y = fa(i), fb(i)
-        if x != y:
-            cmp = 1 if RANK[x] > RANK[y] else -1
-            return cmp if flips % 2 == 0 else -cmp
-        if x in ("B", "L"):
-            flips += 1
-    return 0
+    a, b = as_word(a), as_word(b)
+    n = min(max(horizon, 0), max(1, len(a.head), len(b.head)))
+    while True:
+        x, y = a.prefix(n), b.prefix(n)
+        for i, (s, r) in enumerate(zip(x, y)):
+            if s != r:
+                cmp = 1 if RANK[s] > RANK[r] else -1
+                return -cmp if (x.count("B", 0, i) + x.count("L", 0, i)) % 2 else cmp
+        if n >= horizon or min(len(x), len(y)) < n:
+            return 0
+        n = min(horizon, 2 * n)
+
+
+_by_order = functools.cmp_to_key(order_compare)
 
 
 def transition_allowed(a: str, b: str) -> bool:
@@ -206,86 +213,33 @@ def transition_allowed(a: str, b: str) -> bool:
     return b in _FOLLOWERS[a]
 
 
-def _shifted(word: str, i: int) -> str:
-    """String form of the i-fold shift of a cycle or convergent word."""
-    if word.endswith("C"):
-        i %= len(word)
-        return word[i:] + word[:i]
-    if i >= len(word):
-        return "A"
-    return word[i:]
-
-
 def is_admissible(w) -> bool:
     """Can this word occur as the kneading sequence of the critical point?
 
-    Accepts cycle words (``...C``), convergent words (``...A``), or a
-    SymbolWord with a resolved tail.  Checks the transition rules, the
-    requirement that the sequence start on the positive side (M or R),
-    and the shift-dominance condition: after every orientation-reversing
-    passage the remaining sequence must not fall below the whole word.
+    Three kinds of word can: a cycle word, a convergent word (an interior
+    over L, M, R closed by A forever), and a periodic block without C,
+    such as M repeating at the edge of the band.  One check serves all
+    three: the transition rules, read around the block for the periodic
+    kinds; a first letter on the positive side (M or R); and shift
+    dominance: after every passage through L or M the remaining sequence
+    must not fall below the whole word.  Any other word is not admissible.
     """
-    if isinstance(w, SymbolWord):
-        if w.tail == TAIL_A_INF:
-            w = w.head
-        elif w.tail == TAIL_PERIODIC and w.start == 0:
-            block = w.head
-            if block == "C":
-                return False
-            if block.count("C") == 1 and block.endswith("C"):
-                w = block
-            elif "C" in block:
-                return False
-            else:
-                # periodic block without C: admissible iff the rotation
-                # ending where the block starts... not a kneading cycle;
-                # fall through to the generic checks on the block word
-                return _admissible_periodic_block(block)
-        else:
-            return False
-    if not isinstance(w, str) or not w:
-        return False
-    if "C" in w[:-1]:
-        return False
-    if w[0] not in "MR":
-        return False
-    periodic = w.endswith("C")
-    k = len(w)
-    span = k if periodic else k - 1
-    for i in range(span):
-        a, b = w[i], w[(i + 1) % k]
-        if not transition_allowed(a, b):
-            return False
-    if periodic:
-        if "A" in w or "B" in w:
-            return False
+    w = as_word(w)
+    head = w.head
+    if w.tail == TAIL_A_INF or w.is_cycle():
+        interior = head[:-1]
+    elif w.tail == TAIL_PERIODIC and w.start == 0:
+        interior = head
     else:
-        if not w.endswith("A"):
-            return False
-        j = w.index("A")
-        if any(s != "A" for s in w[j:]):
-            return False
-    for i in range(k if periodic else len(w)):
-        s = w[i % k] if periodic else w[i]
-        if s in ("L", "M"):
-            if order_compare(_shifted(w, i + 1), w) < 0:
-                return False
-    return True
-
-
-def _admissible_periodic_block(block: str) -> bool:
-    """Periodic words with no C (boundary cycles such as M repeating)."""
-    if block[0] not in "MR":
         return False
-    k = len(block)
-    for i in range(k):
-        if not transition_allowed(block[i], block[(i + 1) % k]):
+    if not interior or not _INTERIOR.issuperset(interior) or head[0] not in "MR":
+        return False
+    around = head[0] if w.tail == TAIL_PERIODIC else ""
+    if not all(map(transition_allowed, head, head[1:] + around)):
+        return False
+    for i, s in enumerate(head):
+        if s in "LM" and order_compare(w.shift(i + 1), w) < 0:
             return False
-    word = SymbolWord(block, TAIL_PERIODIC, 0)
-    for i in range(k):
-        if block[i] in ("L", "M"):
-            if order_compare(word.shift(i + 1), word) < 0:
-                return False
     return True
 
 
@@ -306,10 +260,8 @@ def _admissible_words(k: int, close: str) -> list[str]:
     for _ in range(k - 1):
         walks = [w + s for w in walks
                  for s in (_FOLLOWERS[w[-1]] if w else "MR") if s in "LMR"]
-    out = [w + close for w in walks
-           if w.endswith("R") and is_admissible(w + close)]
-    out.sort(key=functools.cmp_to_key(order_compare))
-    return out
+    words = [as_word(w + close) for w in walks if w.endswith("R")]
+    return [w.head for w in sorted(filter(is_admissible, words), key=_by_order)]
 
 
 def admissible_cycles(k: int) -> list[str]:
@@ -318,10 +270,7 @@ def admissible_cycles(k: int) -> list[str]:
 
 
 def admissible_convergents(k: int) -> list[str]:
-    """All admissible convergent words of length k, sorted by order.
-
-    These are cycle interiors closed by A; words absorbed through B or a
-    longer A run, such as RBA, pass ``is_admissible`` but are not listed."""
+    """All admissible convergent words of length k, sorted by order_compare."""
     return _admissible_words(k, "A")
 
 
@@ -387,9 +336,9 @@ def generate_tree(max_level: int) -> dict[int, list[TreeNode]]:
     nodes: dict[str, TreeNode] = {}
     for k in range(2, max_level + 1):
         bucket: list[TreeNode] = []
-        entries = ([(w, "cycle") for w in admissible_cycles(k)]
-                   + [(w, "convergent") for w in admissible_convergents(k)])
-        entries.sort(key=functools.cmp_to_key(lambda a, b: order_compare(a[0], b[0])))
+        entries = sorted([(w, "cycle") for w in admissible_cycles(k)]
+                         + [(w, "convergent") for w in admissible_convergents(k)],
+                         key=lambda e: _by_order(as_word(e[0])))
         for w, kind in entries:
             if kind == "cycle":
                 parent, edge = _nearest_admissible_ancestor(w)

@@ -86,6 +86,17 @@ def test_config_defaults_with_flag_override(tmp_path, capsys):
     assert float(lines[1].split(",")[0]) == 0.6  # explicit flag wins
 
 
+def test_config_yields_to_an_abbreviated_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_level": 2}))
+    for flag in (["--max", "3"], ["--max=3"]):
+        assert main(["--config", str(cfg), "tree"] + flag) == 0
+        out = capsys.readouterr().out
+        assert "level 2" in out and "level 3" in out, flag
+    assert main(["--config", str(cfg), "tree"]) == 0
+    assert "level 3" not in capsys.readouterr().out
+
+
 def test_config_digest_lands_in_sidecar(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 4}))

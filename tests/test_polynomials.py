@@ -96,6 +96,3 @@ def test_smallest_root_in_finds_first_sign_change():
     r = smallest_root_in(p, 0.3, 1.0)
     assert r is not None and abs(1.0 / r - 1.8392867552141612) < 1e-10
     assert smallest_root_in(IntPolynomial([1]), 0.0, 1.0) is None
-    # callable input works the same way
-    f = lambda t: t * t - 0.25
-    assert abs(smallest_root_in(f, 0.0, 1.0) - 0.5) < 1e-12

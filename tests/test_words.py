@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from frozen import LEVELS
+from quintic_newton.kneading import determinant_polynomial, kneading_numerator
 from quintic_newton.words import (
     SymbolWord,
     TAIL_A_INF,
@@ -12,6 +13,7 @@ from quintic_newton.words import (
     WordError,
     admissible_convergents,
     admissible_cycles,
+    as_word,
     generate_tree,
     is_admissible,
     order_compare,
@@ -74,6 +76,23 @@ def test_order_fixtures():
         assert order_compare(a, b) < 0, (a, b)
 
 
+def test_order_reads_an_unresolved_head_to_its_end_only():
+    # a string ending in neither C nor A is an unresolved head: nothing
+    # past it is known, so it is not padded with A
+    assert order_compare("RL", "RLRC") == 0 == order_compare("RLRC", "RL")
+    assert order_compare(SymbolWord("RL"), "RLA") == 0
+    assert order_compare("RLM", "RLRC") > 0      # they differ inside the head
+    assert order_compare("MRRM", "MRR") == 0
+
+
+def test_order_looks_past_a_preperiod():
+    # R^5 then M forever against R forever: they differ first at index 5,
+    # past a preperiod longer than either period
+    a = SymbolWord("RRRRRM", TAIL_PERIODIC, 5)
+    b = SymbolWord("RRRRRR", TAIL_PERIODIC, 5)
+    assert order_compare(a, b) < 0 < order_compare(b, a)
+
+
 def test_order_is_antisymmetric_on_cycles():
     words = admissible_cycles(5)
     for a, b in itertools.combinations(words, 2):
@@ -116,6 +135,26 @@ def test_admissibility_fixtures():
     assert is_admissible(SymbolWord("M", TAIL_PERIODIC, 0))
 
 
+def test_every_form_of_a_word_gets_one_answer():
+    cycle = ["RLRC", "(RLRC)^", SymbolWord("RLRC", TAIL_PERIODIC, 0)]
+    convergent = ["RRA", "RRA^inf", SymbolWord("RRA", TAIL_A_INF)]
+    for forms in (cycle, convergent):
+        first = forms[0]
+        for w in forms:
+            assert as_word(w) == as_word(first)
+            assert is_admissible(w)
+            assert kneading_numerator(w) == kneading_numerator(first)
+            assert determinant_polynomial(w) == determinant_polynomial(first)
+            assert all(order_compare(w, v) == 0 for v in forms)
+            assert order_compare(w, "RC") == order_compare(first, "RC") != 0
+    block = ["(M)^", SymbolWord("M", TAIL_PERIODIC, 0)]
+    assert all(is_admissible(w) for w in block)
+    assert kneading_numerator(block[0]) == kneading_numerator(block[1])
+    for bad in ("RXC", 5, ""):
+        with pytest.raises(WordError):
+            is_admissible(bad)
+
+
 def test_admissible_counts_match_brute_force():
     for k, want in LEVELS.items():
         if k > 6:
@@ -129,16 +168,13 @@ def test_admissible_counts_match_brute_force():
 
 
 def test_admissible_convergents_match_brute_force():
-    # convergent words are cycle interiors closed by A; is_admissible also
-    # accepts words absorbed through B or a longer A run (RBA, RAA), which
-    # the tree does not list
+    # absorbed spellings such as RAA and RBA share RA's numerator; only RA
+    # is admissible, so the brute force finds exactly the listed words
     for k in range(2, 8):
         brute = ["".join(w) + "A"
                  for w in itertools.product("ABLCMR", repeat=k - 1)
                  if is_admissible("".join(w) + "A")]
-        interior = [w for w in brute if set(w[:-1]) <= set("LMR")]
-        assert all("B" in w or "AA" in w for w in brute if w not in interior)
-        assert sorted(admissible_convergents(k)) == sorted(interior), k
+        assert sorted(admissible_convergents(k)) == sorted(brute), k
 
 
 def test_admissible_cycles_level_7_count():
