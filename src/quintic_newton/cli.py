@@ -39,6 +39,7 @@ from .reduction import BringJerrardQuintic, conjugacy_check, reduce_quintic
 from .words import (
     TAIL_PERIODIC,
     admissible_cycles,
+    as_word,
     is_admissible,
     order_compare,
 )
@@ -125,8 +126,9 @@ def cmd_find_window(args: argparse.Namespace) -> int:
             raise ValueError("give both --lo and --hi or neither")
         bracket = (args.lo, args.hi)
     c = find_superstable_parameter(args.word, bracket=bracket, tol=args.tol)
+    k = len(as_word(args.word).head)
     lines = [f"word = {args.word}", f"c = {_fmt(c)}",
-             f"residual = {abs(orbit_points(c, 0.0, len(args.word) + 1)[-1]):.3e}"]
+             f"residual = {abs(orbit_points(c, 0.0, k + 1)[-1]):.3e}"]
     _emit(args, "find-window", "\n".join(lines) + "\n")
     return 0
 

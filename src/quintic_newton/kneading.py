@@ -34,6 +34,7 @@ from .words import (
     TAIL_PERIODIC,
     TAIL_UNRESOLVED,
     WordError,
+    _parse_parent,
     as_word,
     generate_tree,
     parse_parent,
@@ -295,22 +296,25 @@ def tree_polynomial_step(d_k: IntPolynomial, k: int, branch: str,
     raise ValueError(f"unknown branch {branch!r}")
 
 
-_ROOT_WORD = "RC"
 _ROOT_POLY = IntPolynomial([1, -1, -1, -1])
 
 
-def cycle_polynomial(word: str) -> IntPolynomial:
+def cycle_polynomial(word) -> IntPolynomial:
     """Cleared polynomial of a cycle word by the suffix recursion.
 
     Works for every word the suffix parsing reaches, including the
     formally-valid intermediates that are not themselves admissible; the
     recursion agrees with the determinant route on all of them.
     """
-    up = parse_parent(word)
+    return _from_parse(parse_parent(word))
+
+
+def _from_parse(up: tuple[str, str] | None) -> IntPolynomial:
+    """The cycle polynomial of the word whose parse_parent is ``up``."""
     if up is None:
         return _ROOT_POLY
     parent, edge = up
-    P = cycle_polynomial(parent)
+    P = _from_parse(_parse_parent(parent))
     kp = len(parent)
     p, delta = shape_split(P, kp)
     if edge == "R":
@@ -327,12 +331,12 @@ def cycle_polynomial(word: str) -> IntPolynomial:
     raise WordError(f"unexpected edge {edge!r}")
 
 
-def convergent_polynomial(word: str) -> IntPolynomial:
+def convergent_polynomial(word) -> IntPolynomial:
     """Cleared polynomial of a convergent word: the A image of its cycle."""
-    if not word.endswith("A"):
+    w = as_word(word)
+    if w.tail != TAIL_A_INF:
         raise WordError(f"not a convergent word: {word!r}")
-    interior = word[:-1]
-    cycle = interior + "C"
+    cycle = w.head[:-1] + "C"
     return tree_polynomial_step(cycle_polynomial(cycle), len(cycle), "A")
 
 

@@ -5,16 +5,17 @@ determinants, characteristic polynomials) must be exact: the entropy
 comparisons in the test suite check integer coefficient lists, not floats.
 Coefficients are Python ints stored lowest power first with trailing zeros
 stripped, and division is exact integer division that raises when it does
-not come out even.  The kneading algebra works on integer numerators and
-wraps its result once as a ``RationalFunctionInT``, whose denominator is an
-explicit multiset of (1 - t^m) factors, the only kind the coding produces.
+not come out even.  The kneading algebra works on integer numerators; the
+determinant oracle hands its result out once as a ``RationalFunctionInT``,
+a value type that holds an integer numerator over an explicit multiset of
+(1 - t^m) factors, the only denominator the coding produces.  It compares
+and reduces but does no arithmetic: callers compute on ``num`` and ``den``.
 
 Floating point enters only through ``evaluate`` and the root bisection
 helpers at the bottom.
 """
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from typing import Iterable
 
@@ -207,25 +208,23 @@ class IntPolynomial:
 class RationalFunctionInT:
     """num / prod (1 - t^m), the only rational shape the coding produces.
 
-    The denominator is stored as a multiset of exponents m, unreduced;
-    ``reduce()`` cancels factors that divide the numerator exactly and
-    returns a canonical representative.  Equality is cross-multiplied and
+    A value type with no arithmetic of its own: callers work on ``num``
+    and ``den`` as integer polynomials.  The denominator is stored as a
+    multiset of exponents m, unreduced; ``reduce()`` cancels factors that
+    divide the numerator exactly and returns a canonical representative.
+    Equality with another ``RationalFunctionInT`` is cross-multiplied and
     therefore representation independent.
     """
 
     __slots__ = ("num", "den_factors")
 
-    def __init__(self, num: IntPolynomial | int = 0,
-                 den_factors: Iterable[int] = ()):
-        if isinstance(num, int):
-            num = IntPolynomial((num,)) if num else IntPolynomial()
+    def __init__(self, num: IntPolynomial, den_factors: Iterable[int] = ()):
         self.num = num
         factors = tuple(sorted(den_factors))
         if any(m < 1 for m in factors):
             raise ValueError("denominator exponents must be >= 1")
         self.den_factors = factors
 
-    # ------------------------------------------------------------------
     @property
     def den(self) -> IntPolynomial:
         out = IntPolynomial.one()
@@ -233,69 +232,17 @@ class RationalFunctionInT:
             out = out * IntPolynomial.one_minus_t_power(m)
         return out
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def __repr__(self):
         if not self.den_factors:
             return f"({self.num})"
         den = "".join(f"(1-t^{m})" if m > 1 else "(1-t)" for m in self.den_factors)
         return f"({self.num}) / {den}"
 
-    # ------------------------------------------------------------------
-    # arithmetic
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _coerce(x) -> "RationalFunctionInT":
-        if isinstance(x, RationalFunctionInT):
-            return x
-        if isinstance(x, IntPolynomial):
-            return RationalFunctionInT(x)
-        if isinstance(x, int) and not isinstance(x, bool):
-            return RationalFunctionInT(IntPolynomial((x,)) if x else IntPolynomial())
-        raise TypeError(f"cannot coerce {x!r}")
-
-    def __add__(self, other) -> "RationalFunctionInT":
-        other = self._coerce(other)
-        mine = Counter(self.den_factors)
-        theirs = Counter(other.den_factors)
-        common = mine | theirs  # multiset lcm of the factor lists
-        a = self.num
-        for m, cnt in (common - mine).items():
-            for _ in range(cnt):
-                a = a * IntPolynomial.one_minus_t_power(m)
-        b = other.num
-        for m, cnt in (common - theirs).items():
-            for _ in range(cnt):
-                b = b * IntPolynomial.one_minus_t_power(m)
-        return RationalFunctionInT(a + b, common.elements())
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunctionInT":
-        return RationalFunctionInT(-self.num, self.den_factors)
-
-    def __sub__(self, other) -> "RationalFunctionInT":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "RationalFunctionInT":
-        return self._coerce(other) - self
-
-    def __mul__(self, other) -> "RationalFunctionInT":
-        other = self._coerce(other)
-        return RationalFunctionInT(self.num * other.num,
-                                   self.den_factors + other.den_factors)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
-        try:
-            other = self._coerce(other)
-        except TypeError:
+        if not isinstance(other, RationalFunctionInT):
             return NotImplemented
-        return (self.num * other.den) == (other.num * self.den)
+        return self.num * other.den == other.num * self.den
 
-    # ------------------------------------------------------------------
     def reduce(self) -> "RationalFunctionInT":
         """Cancel denominator factors dividing the numerator; canonical up
         to the factor multiset ordering (which is sorted)."""
@@ -308,13 +255,6 @@ class RationalFunctionInT:
             else:
                 remaining.append(m)
         return RationalFunctionInT(num, remaining)
-
-    def as_polynomial(self) -> IntPolynomial:
-        """The exact polynomial this reduces to; raises if it is not one."""
-        r = self.reduce()
-        if r.den_factors:
-            raise ArithmeticError(f"{self!r} is not a polynomial")
-        return r.num
 
 
 # ----------------------------------------------------------------------

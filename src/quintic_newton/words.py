@@ -19,13 +19,14 @@ accepts four forms:
   head read once, then A forever;
 
 and reads any other string as an unresolved head.  The enumeration and
-the tree hand out cycle and convergent words as plain strings, and the
-tree's suffix parsing works on those strings directly.
+the tree hand out cycle and convergent words as plain strings.  The tree's
+suffix edits read their argument once the same way and then recurse on
+plain head strings.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SYMBOLS = "ABLCMR"
 RANK = {s: i for i, s in enumerate(SYMBOLS)}
@@ -144,16 +145,16 @@ class SymbolWord:
 
     @classmethod
     def parse(cls, text: str) -> "SymbolWord":
-        text = text.strip()
         if text.endswith("^inf"):
             return cls(text[:-4], TAIL_A_INF)
         if text.endswith(")^"):
-            open_at = text.index("(")
-            head = text[:open_at] + text[open_at:-2].lstrip("(")
+            open_at = text.find("(")
+            if open_at < 0:
+                raise WordError(f"no '(' before ')^' in {text!r}")
             block = text[open_at + 1:-2]
             if not block:
                 raise WordError(f"empty periodic block in {text!r}")
-            return cls(head, TAIL_PERIODIC, open_at)
+            return cls(text[:open_at] + block, TAIL_PERIODIC, open_at)
         if "(" in text or ")" in text or "^" in text:
             raise WordError(f"malformed word {text!r}")
         return cls(text, TAIL_UNRESOLVED)
@@ -190,13 +191,20 @@ def order_compare(a, b, horizon: int = 256) -> int:
     n = min(max(horizon, 0), max(1, len(a.head), len(b.head)))
     while True:
         x, y = a.prefix(n), b.prefix(n)
-        for i, (s, r) in enumerate(zip(x, y)):
-            if s != r:
-                cmp = 1 if RANK[s] > RANK[r] else -1
-                return -cmp if (x.count("B", 0, i) + x.count("L", 0, i)) % 2 else cmp
-        if n >= horizon or min(len(x), len(y)) < n:
-            return 0
+        cmp = _signed_compare(x, y)
+        if cmp or n >= horizon or min(len(x), len(y)) < n:
+            return cmp
         n = min(horizon, 2 * n)
+
+
+def _signed_compare(x: str, y: str) -> int:
+    """The signed order on two symbol strings, read over their common
+    length; 0 when one is a prefix of the other."""
+    for i, (s, r) in enumerate(zip(x, y)):
+        if s != r:
+            cmp = 1 if RANK[s] > RANK[r] else -1
+            return -cmp if (x.count("B", 0, i) + x.count("L", 0, i)) % 2 else cmp
+    return 0
 
 
 _by_order = functools.cmp_to_key(order_compare)
@@ -223,6 +231,8 @@ def is_admissible(w) -> bool:
     kinds; a first letter on the positive side (M or R); and shift
     dominance: after every passage through L or M the remaining sequence
     must not fall below the whole word.  Any other word is not admissible.
+    Dominance is read off a prefix of 2n letters, n = len(head): a shift
+    of any of the three agrees with the word forever once it agrees over n.
     """
     w = as_word(w)
     head = w.head
@@ -237,8 +247,10 @@ def is_admissible(w) -> bool:
     around = head[0] if w.tail == TAIL_PERIODIC else ""
     if not all(map(transition_allowed, head, head[1:] + around)):
         return False
+    n = len(head)
+    seq = w.prefix(2 * n)
     for i, s in enumerate(head):
-        if s in "LM" and order_compare(w.shift(i + 1), w) < 0:
+        if s in "LM" and _signed_compare(seq[i + 1:i + 1 + n], head) < 0:
             return False
     return True
 
@@ -294,20 +306,25 @@ class TreeNode:
     kind: str
     parent: str | None = None
     edge: str = ""
-    children: list[str] = field(default_factory=list)
 
 
-def parse_parent(word: str) -> tuple[str, str] | None:
+def parse_parent(word) -> tuple[str, str] | None:
     """Structural parent of a cycle word under the suffix parsing.
 
     Every interior over {L, M, R} that can close into a cycle ends in R,
     and the two letters before the closing C decide the unique edge:
     ``...RRC`` shortens to ``...RC``, ``...MRC`` replaces the M, and
-    ``...LRC`` drops both.  Returns (parent_word, edge_label), or None for
-    the root ``RC``.
+    ``...LRC`` drops both.  Returns (parent_word, edge_label), the parent
+    as a plain cycle string, or None for the root ``RC``.
     """
-    if not word.endswith("C") or len(word) < 2:
+    w = as_word(word)
+    if not w.is_cycle():
         raise WordError(f"not a cycle word: {word!r}")
+    return _parse_parent(w.head)
+
+
+def _parse_parent(word: str) -> tuple[str, str] | None:
+    """parse_parent on the plain string of a word ending in C."""
     u = word[:-1]
     if u == "R":
         return None
@@ -333,7 +350,6 @@ def generate_tree(max_level: int) -> dict[int, list[TreeNode]]:
     if max_level < 2:
         raise ValueError("max_level must be at least 2")
     levels: dict[int, list[TreeNode]] = {}
-    nodes: dict[str, TreeNode] = {}
     for k in range(2, max_level + 1):
         bucket: list[TreeNode] = []
         entries = sorted([(w, "cycle") for w in admissible_cycles(k)]
@@ -349,11 +365,7 @@ def generate_tree(max_level: int) -> dict[int, list[TreeNode]]:
                 else:
                     parent, edge = _nearest_admissible_ancestor(cycle)
                     edge = edge + "A"
-            node = TreeNode(w, k, kind, parent, edge)
-            bucket.append(node)
-            nodes[w] = node
-            if parent is not None and parent in nodes:
-                nodes[parent].children.append(w)
+            bucket.append(TreeNode(w, k, kind, parent, edge))
         levels[k] = bucket
     return levels
 
@@ -365,11 +377,11 @@ def _nearest_admissible_ancestor(word: str) -> tuple[str | None, str]:
     one label per parsing step, so a chain through a non-admissible
     intermediate shows up as a multi-letter edge.
     """
-    up = parse_parent(word)
+    up = _parse_parent(word)
     if up is None:
         return None, ""
     parent, edge = up
     while not is_admissible(parent):
-        parent, label = parse_parent(parent)
+        parent, label = _parse_parent(parent)
         edge = label + edge
     return parent, edge

@@ -37,6 +37,16 @@ def test_find_window_command(capsys):
     assert abs(c - SUPERSTABLE["RC"]) < 1e-9
 
 
+def test_find_window_reads_every_form_of_the_word(capsys):
+    # the residual is the k-th return, k read off the word, not its spelling
+    outputs = []
+    for word in ("RLRC", "(RLRC)^"):
+        assert main(["find-window", word]) == 0
+        outputs.append(capsys.readouterr().out.splitlines()[1:])
+    assert outputs[0] == outputs[1]
+    assert float(outputs[0][1].split("=")[1]) < 1e-12
+
+
 def test_find_window_rejects_bad_word(capsys):
     assert main(["find-window", "RMRC"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -4,8 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from frozen import LEVELS
-from quintic_newton.kneading import determinant_polynomial, kneading_numerator
+from quintic_newton.kneading import (
+    convergent_polynomial,
+    cycle_polynomial,
+    determinant_polynomial,
+    kneading_numerator,
+)
 from quintic_newton.words import (
+    SYMBOLS,
     SymbolWord,
     TAIL_A_INF,
     TAIL_PERIODIC,
@@ -135,10 +141,48 @@ def test_admissibility_fixtures():
     assert is_admissible(SymbolWord("M", TAIL_PERIODIC, 0))
 
 
+def _admissible_by_shifts(w) -> bool:
+    """The reference rule: shift dominance read by comparing each shifted
+    word with the whole word under order_compare."""
+    w = as_word(w)
+    head = w.head
+    if w.tail == TAIL_A_INF or w.is_cycle():
+        interior = head[:-1]
+    elif w.tail == TAIL_PERIODIC and w.start == 0:
+        interior = head
+    else:
+        return False
+    if not interior or not set(interior) <= set("LMR") or head[0] not in "MR":
+        return False
+    around = head[0] if w.tail == TAIL_PERIODIC else ""
+    if not all(map(transition_allowed, head, head[1:] + around)):
+        return False
+    return all(order_compare(w.shift(i + 1), w) >= 0
+               for i, s in enumerate(head) if s in "LM")
+
+
+def test_dominance_read_off_one_prefix_matches_the_shift_oracle():
+    words = []
+    for n in range(1, 7):
+        for letters in itertools.product(SYMBOLS, repeat=n):
+            x = "".join(letters)
+            words.append(SymbolWord(x, TAIL_PERIODIC, 0))
+            if n < 6:
+                words += [x + "C", x + "A"]
+    admissible = 0
+    for w in words:
+        want = _admissible_by_shifts(w)
+        assert is_admissible(w) == want, w
+        admissible += want
+    assert admissible > 100
+
+
 def test_every_form_of_a_word_gets_one_answer():
     cycle = ["RLRC", "(RLRC)^", SymbolWord("RLRC", TAIL_PERIODIC, 0)]
     convergent = ["RRA", "RRA^inf", SymbolWord("RRA", TAIL_A_INF)]
-    for forms in (cycle, convergent):
+    # with the tree's suffix edits that take each kind
+    for forms, edits in ((cycle, (cycle_polynomial, parse_parent)),
+                         (convergent, (convergent_polynomial,))):
         first = forms[0]
         for w in forms:
             assert as_word(w) == as_word(first)
@@ -147,10 +191,13 @@ def test_every_form_of_a_word_gets_one_answer():
             assert determinant_polynomial(w) == determinant_polynomial(first)
             assert all(order_compare(w, v) == 0 for v in forms)
             assert order_compare(w, "RC") == order_compare(first, "RC") != 0
+            for edit in edits:
+                assert edit(w) == edit(first), (edit.__name__, w)
     block = ["(M)^", SymbolWord("M", TAIL_PERIODIC, 0)]
     assert all(is_admissible(w) for w in block)
     assert kneading_numerator(block[0]) == kneading_numerator(block[1])
-    for bad in ("RXC", 5, ""):
+    # ")^" with no "(", a doubled "(", and whitespace, which is no symbol
+    for bad in ("RXC", 5, "", "RL)^", "((RC)^", "RLRC ", " RLRC"):
         with pytest.raises(WordError):
             is_admissible(bad)
 
@@ -204,6 +251,7 @@ def test_parse_parent_edges():
     assert parse_parent("MRC") == ("RC", "M")
     assert parse_parent("RLRC") == ("RC", "L")
     assert parse_parent("MMRC") == ("MRC", "M")
+    assert parse_parent("(RRC)^") == ("RC", "R")
     with pytest.raises(WordError):
         parse_parent("RBC")
 
