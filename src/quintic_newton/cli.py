@@ -170,6 +170,8 @@ def cmd_tree(args: argparse.Namespace) -> int:
 
 
 def cmd_entropy_curve(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ValueError("--workers must be at least 1")
     points = entropy_curve(args.lo, args.hi, args.n,
                            horizon=args.horizon, workers=args.workers)
     rows = ["c,entropy,method,period"]

@@ -11,11 +11,15 @@ a value type that holds an integer numerator over an explicit multiset of
 (1 - t^m) factors, the only denominator the coding produces.  It compares
 and reduces but does no arithmetic: callers compute on ``num`` and ``den``.
 
-Floating point enters only through ``evaluate`` and the root bisection
-helpers at the bottom.
+Floating point enters only through ``evaluate`` and the band-root search
+at the bottom, and every float decision there is certified: rounding
+bounds exclude cells and prove a single zero, exact integer signs confirm
+the bisected value, and what floats cannot decide is decided exactly with
+a gcd over Z and Sturm counts.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -34,6 +38,17 @@ class IntPolynomial:
             cs.pop()
         self.coeffs = tuple(cs)
 
+    @classmethod
+    def _trusted(cls, cs: list[int]) -> "IntPolynomial":
+        """Wrap a list already known to hold ints (an arithmetic result of
+        valid polynomials) without the per-coefficient check; strips
+        trailing zeros in place."""
+        while cs and cs[-1] == 0:
+            cs.pop()
+        p = object.__new__(cls)
+        p.coeffs = tuple(cs)
+        return p
+
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
@@ -46,14 +61,14 @@ class IntPolynomial:
         """coeff * t^m"""
         if m < 0:
             raise ValueError("negative exponent")
-        return cls([0] * m + [coeff])
+        return cls((coeff,)).shift(m)
 
     @classmethod
     def one_minus_t_power(cls, m: int) -> "IntPolynomial":
         """1 - t^m"""
         if m < 1:
             raise ValueError("factor exponent must be >= 1")
-        return cls([1] + [0] * (m - 1) + [-1])
+        return cls._trusted([1] + [0] * (m - 1) + [-1])
 
     # ------------------------------------------------------------------
     # basic queries
@@ -118,14 +133,17 @@ class IntPolynomial:
         raise TypeError(f"cannot combine IntPolynomial with {other!r}")
 
     def __add__(self, other) -> "IntPolynomial":
-        other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial(self[m] + other[m] for m in range(n))
+        a, b = self.coeffs, self._coerce(other).coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = [x + y for x, y in zip(a, b)]
+        out.extend(a[len(b):])
+        return IntPolynomial._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(-c for c in self.coeffs)
+        return IntPolynomial._trusted([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "IntPolynomial":
         return self + (-self._coerce(other))
@@ -143,7 +161,7 @@ class IntPolynomial:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
-        return IntPolynomial(out)
+        return IntPolynomial._trusted(out)
 
     __rmul__ = __mul__
 
@@ -151,7 +169,10 @@ class IntPolynomial:
         """Multiply by t^m."""
         if self.is_zero():
             return self
-        return IntPolynomial([0] * m + list(self.coeffs))
+        return IntPolynomial._trusted([0] * m + list(self.coeffs))
+
+    def derivative(self) -> "IntPolynomial":
+        return IntPolynomial._trusted([m * c for m, c in enumerate(self.coeffs)][1:])
 
     def divmod(self, other: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         """Polynomial division; raises ArithmeticError when the quotient, and
@@ -173,7 +194,7 @@ class IntPolynomial:
             if f:
                 for j, b in enumerate(other.coeffs):
                     rem[i + j] -= f * b
-        return IntPolynomial(quot), IntPolynomial(rem[: dn - 1])
+        return IntPolynomial._trusted(quot), IntPolynomial._trusted(rem[: dn - 1])
 
     def try_div_exact(self, other: "IntPolynomial") -> "IntPolynomial | None":
         """self / other when the division is exact over Z, else None."""
@@ -189,6 +210,42 @@ class IntPolynomial:
             raise ArithmeticError(f"{self} is not divisible by {other}")
         return q
 
+    def _pseudo_rem(self, other: "IntPolynomial") -> "IntPolynomial":
+        """|lc(other)|^k * self mod other: the remainder up to a positive
+        factor, so it serves Sturm chains as well as gcds."""
+        rem, div = list(self.coeffs), other.coeffs
+        dn, lead = len(div), div[-1]
+        scale, sign = abs(lead), (1 if lead > 0 else -1)
+        while len(rem) >= dn:
+            f, k = rem[-1] * sign, len(rem) - dn
+            rem = [c * scale for c in rem]
+            for j, d in enumerate(div):
+                rem[k + j] -= f * d
+            while rem and rem[-1] == 0:
+                rem.pop()
+        return IntPolynomial._trusted(rem)
+
+    def _primitive(self) -> "IntPolynomial":
+        """self divided by the (positive) gcd of its coefficients."""
+        g = math.gcd(*self.coeffs)
+        if g <= 1:
+            return self
+        return IntPolynomial._trusted([c // g for c in self.coeffs])
+
+    def gcd(self, other: "IntPolynomial") -> "IntPolynomial":
+        """Greatest common divisor in Z[t] by the primitive remainder
+        sequence, with a positive leading coefficient."""
+        a, b = self, self._coerce(other)
+        if a.degree < b.degree:
+            a, b = b, a
+        content = math.gcd(math.gcd(*a.coeffs), math.gcd(*b.coeffs))
+        a, b = a._primitive(), b._primitive()
+        while not b.is_zero():
+            a, b = b, a._pseudo_rem(b)._primitive()
+        if a.coeffs and a.coeffs[-1] < 0:
+            a = -a
+        return a * content if content > 1 else a
+
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
@@ -203,6 +260,15 @@ class IntPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
+
+    def sign_at(self, x: float) -> int:
+        """The exact sign of self at the float x, in integer arithmetic."""
+        num, den = x.as_integer_ratio()
+        acc, scale = 0, 1
+        for c in reversed(self.coeffs):
+            acc = acc * num + c * scale
+            scale *= den
+        return (acc > 0) - (acc < 0)
 
 
 class RationalFunctionInT:
@@ -261,37 +327,194 @@ class RationalFunctionInT:
 # root isolation
 # ----------------------------------------------------------------------
 
-_SCAN_STEPS = 4096
+# The root is reported by bisecting the cell of this grid that holds it, so
+# t* has the value a sign scan of the grid would give whenever that scan
+# sees the right root.
+_GRID_CELLS = 4096
+# a walk cell narrower than this, or a walk longer than this many
+# evaluations, means floating point cannot decide the cell
+_MIN_CELL = 1e-12
+_WALK_BUDGET = _GRID_CELLS
 
 
 def smallest_root_in(poly: IntPolynomial, lo: float, hi: float,
                      tol: float = 1e-13) -> float | None:
-    """Smallest zero of poly in [lo, hi] found by a sign-change scan over
-    _SCAN_STEPS equal cells plus bisection.  The polynomials this gets
-    applied to have simple smallest roots, so a scan at this resolution
-    does not miss them.  Returns None when no sign change is found."""
-    f = poly.evaluate
-    prev_x = lo
-    prev_v = f(lo)
-    if prev_v == 0.0:
-        return lo
-    for i in range(1, _SCAN_STEPS + 1):
-        x = lo + (hi - lo) * i / _SCAN_STEPS
-        v = f(x)
-        if v == 0.0:
-            return x
-        if (prev_v < 0) != (v < 0):
-            a, b, fa = prev_x, x, prev_v
-            while b - a > tol:
-                m = 0.5 * (a + b)
-                fm = f(m)
-                if fm == 0.0:
-                    return m
-                if (fa < 0) != (fm < 0):
-                    b = m
-                else:
-                    a, fa = m, fm
-            return 0.5 * (a + b)
-        prev_x, prev_v = x, v
-    return None
+    """Smallest zero of poly in [lo, hi] (0 <= lo < hi) to within tol, or
+    None when there is none; the zero polynomial gives lo.
 
+    Every answer is certified.  An exclusion walk from lo proves poly free
+    of zeros on [lo, a] and proves exactly one zero in (a, b); for the
+    Milnor-Thurston determinant D(t) that is the statement D(t) > 0 on
+    [0, t*).  The zero is bisected in floating point from the cell of the
+    grid lo + (hi - lo) * i / 4096 that holds (a, b), and that value t is
+    kept when exact signs at t - tol and t + tol bracket the zero;
+    otherwise (a, b) is bisected in exact arithmetic.  Where floating
+    point cannot decide a cell (a double root, two roots closer than the
+    rounding), the rest of [lo, hi] is decided exactly: Sturm counts of the
+    square-free part over Fraction, bisected down to tol.  Bounds exact
+    arithmetic cannot represent raise ValueError; nothing is guessed.
+    """
+    if not 0.0 <= lo < hi < math.inf:
+        raise ValueError(f"need 0 <= lo < hi < inf, got [{lo!r}, {hi!r}]")
+    if poly.is_zero():
+        return lo
+    walk = _ExclusionWalk(poly, lo, hi)
+    kind, a, b, sign = walk.run()
+    if kind == "clear":
+        return None
+    if kind == "stall":
+        return _smallest_root_exact(poly, a, hi, tol)
+    f = poly.evaluate
+    i = walk.next_index(a)
+    if i <= _GRID_CELLS:
+        left, right = walk.grid_point(i - 1), walk.grid_point(i)
+        fl, fr = f(left), f(right)
+        if fl != 0.0 and fr != 0.0 and (fl < 0) == (sign < 0) != (fr < 0):
+            t = _bisect(f, left, right, fl, tol)
+            below, above = t - tol, t + tol
+            # exact signs put the one zero of (a, b) inside (below, above)
+            if below <= b and (below <= a or poly.sign_at(below) == sign) \
+                    and (above >= b or poly.sign_at(above) == -sign):
+                return t
+    return _bisect(poly.evaluate_exact, Fraction(a), Fraction(b), sign, tol)
+
+
+def _bisect(f, a, b, fa, tol: float) -> float:
+    """Bisection on a sign change of f over floats or Fractions, fa
+    carrying the sign at a."""
+    while b - a > tol:
+        m = (a + b) / 2
+        fm = f(m)
+        if fm == 0:
+            return float(m)
+        if (fa < 0) != (fm < 0):
+            b = m
+        else:
+            a, fa = m, fm
+    return float((a + b) / 2)
+
+
+class _ExclusionWalk:
+    """Certified sign and monotonicity tests for poly on cells [x, b].
+
+    A cell is free of zeros when |S(x)| - E(x) > (b - x) * max|S'| on the
+    cell, and S is monotone on it when |S'(x)| - E'(x) > (b - x) * max|S''|.
+    The maxima are bounded by the absolute-coefficient sums at b (x >= 0),
+    and E, E' by gamma times the absolute sums at x (Higham, Accuracy and
+    Stability of Numerical Algorithms, 5.1), with gamma_k for k = 8(n + 1)
+    covering the coefficient conversion, the derivative recurrence and the
+    rounding of the bounds themselves with room to spare.
+    """
+
+    def __init__(self, poly: IntPolynomial, lo: float, hi: float):
+        self.terms = tuple((float(c), float(abs(c))) for c in reversed(poly.coeffs))
+        k = 8 * len(poly.coeffs) * 2.0 ** -53
+        self.gamma = k / (1.0 - k)
+        self.lo, self.hi = lo, hi
+
+    def grid_point(self, j: int) -> float:
+        return self.lo + (self.hi - self.lo) * j / _GRID_CELLS
+
+    def next_index(self, x: float) -> int:
+        """The j with grid_point(j - 1) <= x < grid_point(j); past the last
+        grid point this is _GRID_CELLS + 1."""
+        j = int((x - self.lo) / (self.hi - self.lo) * _GRID_CELLS) + 1
+        while j > 1 and self.grid_point(j - 1) > x:
+            j -= 1
+        while j <= _GRID_CELLS and self.grid_point(j) <= x:
+            j += 1
+        return j
+
+    def next_point(self, x: float) -> float:
+        j = self.next_index(x)
+        return self.grid_point(j) if j <= _GRID_CELLS else self.hi
+
+    def at(self, x: float) -> tuple[float, float, float, float, float]:
+        """S(x), S'(x) and the absolute sums sum |c_m| x^m,
+        sum m |c_m| x^(m-1) and sum C(m, 2) |c_m| x^(m-2)."""
+        s = ds = a = d = d2 = 0.0
+        for c, ac in self.terms:
+            d2 = d2 * x + d
+            d = d * x + a
+            a = a * x + ac
+            ds = ds * x + s
+            s = s * x + c
+        return s, ds, a, d, d2
+
+    def sign(self, p) -> int:
+        """The certified sign of S at a point, 0 when rounding hides it."""
+        if abs(p[0]) <= self.gamma * p[2]:
+            return 0
+        return 1 if p[0] > 0 else -1
+
+    def run(self) -> tuple[str, float, float, int]:
+        """Walk right from lo towards hi.
+
+        Returns ("clear", lo, hi, sign) when [lo, hi] holds no zero,
+        ("cell", a, b, sign) for the first cell proved to hold exactly one
+        zero (it never crosses a grid point), or ("stall", x, x, sign) where
+        floating point cannot go on; sign is that of S on [lo, a] or [lo, x].
+        Each cell excluded doubles the step; each one refused halves it.
+        """
+        g, slack, x, end = self.gamma, 1.0 + self.gamma, self.lo, self.hi
+        px = self.at(x)
+        sign = self.sign(px)
+        if sign == 0:
+            return "stall", x, x, sign
+        step = (end - x) / _GRID_CELLS
+        h, nxt = step, self.next_point(x)
+        for _ in range(_WALK_BUDGET):
+            b = min(x + h, end)
+            if h <= step and nxt < b:
+                b = nxt
+            w = b - x
+            pb = self.at(b)
+            # no zero when |S| cannot fall to 0 across the cell ...
+            free = abs(px[0]) - g * px[2] > w * pb[3] * slack
+            if not free and abs(px[1]) - g * px[3] > w * 2.0 * pb[4] * slack:
+                # ... or when S is monotone on it and keeps its sign
+                sb = self.sign(pb)
+                if sb == -sign and b <= nxt:
+                    return "cell", x, b, sign
+                free = sb == sign
+            if not free:
+                if w < _MIN_CELL:
+                    break
+                h = 0.5 * w
+                continue
+            if b >= end:
+                return "clear", self.lo, end, sign
+            x, px, h = b, pb, 2.0 * h
+            if x >= nxt:
+                nxt = self.next_point(x)
+        return "stall", x, x, sign
+
+
+def _smallest_root_exact(poly: IntPolynomial, x: float, hi: float,
+                         tol: float) -> float | None:
+    """Smallest zero of poly in [x, hi] in exact arithmetic: Sturm counts of
+    the square-free part over Fraction, bisected until the cell holding the
+    first zero is narrower than tol."""
+    g = poly.div_exact(poly.gcd(poly.derivative()))
+    chain = [g, g.derivative()]
+    while chain[-1].degree > 0:
+        chain.append(-chain[-2]._pseudo_rem(chain[-1])._primitive())
+
+    def changes(t: Fraction) -> int:
+        signs = [v for v in (p.evaluate_exact(t) for p in chain) if v]
+        return sum((u < 0) != (v < 0) for u, v in zip(signs, signs[1:]))
+
+    a, b = Fraction(x), Fraction(hi)
+    if g.evaluate_exact(a) == 0:
+        return x
+    va = changes(a)
+    if changes(b) == va:
+        return None
+    while b - a > tol:
+        m = (a + b) / 2
+        vm = changes(m)
+        if vm < va:
+            b = m
+        else:
+            a, va = m, vm
+    return float((a + b) / 2)

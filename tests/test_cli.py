@@ -173,6 +173,16 @@ def test_bifurcation_needs_two_grid_points(capsys):
         assert capsys.readouterr().err == "error: need at least two grid points\n"
 
 
+def test_entropy_curve_rejects_fewer_than_one_worker(monkeypatch, capsys):
+    def no_curve(*args, **kwargs):
+        raise AssertionError("the curve (and its pool) must not start")
+
+    monkeypatch.setattr(cli, "entropy_curve", no_curve)
+    for workers in ("0", "-2"):
+        assert main(["entropy-curve", "--workers", workers]) == 2
+        assert capsys.readouterr().err == "error: --workers must be at least 1\n"
+
+
 def test_verify_suites_pass(capsys):
     assert main(["verify", "--suite", "markov-rlrc"]) == 0
     out = capsys.readouterr().out

@@ -2,13 +2,16 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from quintic_newton.kneading import kneading_numerator
+from quintic_newton.markov import BAND_ROOT_LO
 from quintic_newton.polynomials import (
     IntPolynomial,
     RationalFunctionInT,
     smallest_root_in,
 )
+from quintic_newton.words import admissible_convergents, admissible_cycles
 
 coeff_lists = st.lists(st.integers(-9, 9), min_size=0, max_size=8)
 
@@ -84,6 +87,127 @@ def test_rational_function_equality_and_reduce():
     assert cleared.reduce().num == num
     # a value type: it compares only with another RationalFunctionInT
     assert RationalFunctionInT(num, ()) != num
+
+
+def test_derivative_gcd_and_exact_sign():
+    t_minus_1 = IntPolynomial([-1, 1])
+    p = t_minus_1 * t_minus_1 * IntPolynomial([2, 1])   # (t - 1)^2 (t + 2)
+    assert p.derivative() == IntPolynomial([-3, 0, 3])
+    assert p.gcd(p.derivative()) == t_minus_1
+    assert (p * 6).gcd(IntPolynomial([4, -4])) == IntPolynomial([-2, 2])
+    assert p.gcd(IntPolynomial()) == p and IntPolynomial().gcd(0) == 0
+    assert linear(5, 3).sign_at(0.6) == -1      # the float 0.6 lies below 3/5
+    assert linear(5, 3).evaluate(0.6) == 0.0
+    assert t_minus_1.sign_at(1.0) == 0
+
+
+@given(coeff_lists, coeff_lists, coeff_lists)
+def test_gcd_divides_both_and_keeps_common_factors(a, b, c):
+    p, q, r = IntPolynomial(a), IntPolynomial(b), IntPolynomial(c)
+    g = (p * r).gcd(q * r)
+    if g.is_zero():
+        assert (p * r).is_zero() and (q * r).is_zero()
+        return
+    assert g.coeffs[-1] > 0
+    assert (p * r).try_div_exact(g) is not None
+    assert (q * r).try_div_exact(g) is not None
+    if not r.is_zero():
+        assert g.try_div_exact(r) is not None
+
+
+def scan_oracle(poly, lo, hi, tol=1e-13):
+    """The former root finder, kept as the oracle: a sign scan over 4096
+    equal cells and bisection in the first cell whose ends differ in sign.
+    It misses a double root and two roots in one cell."""
+    f = poly.evaluate
+    prev_x = lo
+    prev_v = f(lo)
+    if prev_v == 0.0:
+        return lo
+    for i in range(1, 4097):
+        x = lo + (hi - lo) * i / 4096
+        v = f(x)
+        if v == 0.0:
+            return x
+        if (prev_v < 0) != (v < 0):
+            a, b, fa = prev_x, x, prev_v
+            while b - a > tol:
+                m = 0.5 * (a + b)
+                fm = f(m)
+                if fm == 0.0:
+                    return m
+                if (fa < 0) != (fm < 0):
+                    b = m
+                else:
+                    a, fa = m, fm
+            return 0.5 * (a + b)
+        prev_x, prev_v = x, v
+    return None
+
+
+def linear(q, p):
+    return IntPolynomial([-p, q])                   # q t - p
+
+
+@pytest.mark.parametrize("poly", [
+    linear(5, 3) * linear(5, 3) * linear(5, 4),     # double root at 0.6
+    linear(100000, 60000) * linear(100000, 60001) * linear(5, 4),  # close pair
+    linear(100000, 60000) * linear(100000, 60001) * linear(100000, 60003),
+], ids=["double-root", "close-pair", "three-in-one-cell"])
+def test_smallest_root_in_sees_roots_the_scan_misses(poly):
+    assert abs(scan_oracle(poly, 0.3, 1.0) - 0.6) > 1e-5
+    assert abs(smallest_root_in(poly, 0.3, 1.0) - 0.6) <= 1e-13
+
+
+def test_smallest_root_in_holds_tol_where_float_bisection_does_not():
+    # three roots within 0.005: rounding moves the float bisection 3e-12
+    poly = linear(50, 27) * linear(1000, 543) * linear(2000, 1087)
+    assert abs(scan_oracle(poly, 0.5, 1.0) - 0.54) > 1e-12
+    assert abs(Fraction(smallest_root_in(poly, 0.5, 1.0)) - Fraction(27, 50)) <= 1e-13
+
+
+def test_smallest_root_in_at_the_ends_and_on_bad_bounds():
+    assert smallest_root_in(linear(2, 1), 0.5, 1.0) == 0.5      # root at lo
+    assert abs(smallest_root_in(linear(1, 1) * linear(1, 2), 0.5, 1.0) - 1.0) <= 1e-13
+    assert smallest_root_in(linear(1, 2), 0.5, 1.0) is None
+    assert smallest_root_in(IntPolynomial(), 0.5, 1.0) == 0.5
+    for lo, hi in ((-0.1, 1.0), (0.5, 0.5), (0.0, math.inf), (0.0, math.nan)):
+        with pytest.raises(ValueError):
+            smallest_root_in(linear(2, 1), lo, hi)
+
+
+planted_factors = st.lists(
+    st.tuples(st.integers(2, 24).flatmap(
+        lambda q: st.tuples(st.integers(1, 3 * q // 2), st.just(q))),
+        st.booleans()),
+    min_size=1, max_size=5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(planted_factors)
+def test_smallest_root_in_finds_the_smallest_planted_root(factors):
+    lo, hi, tol = BAND_ROOT_LO - 1e-9, 1.0, 1e-13
+    poly, roots = IntPolynomial([1]), set()
+    for (p, q), squared in factors:
+        f = linear(q, p)
+        poly = poly * f * f if squared else poly * f
+        roots.add(Fraction(p, q))
+    inside = [r for r in roots if Fraction(lo) <= r <= Fraction(hi)]
+    got = smallest_root_in(poly, lo, hi, tol)
+    if not inside:
+        assert got is None
+    else:
+        assert got is not None and abs(Fraction(got) - min(inside)) <= tol
+
+
+def test_smallest_root_in_matches_the_scan_bitwise_on_kneading_words():
+    lo, checked = BAND_ROOT_LO - 1e-9, 0
+    for level in range(2, 10):
+        for w in admissible_cycles(level) + admissible_convergents(level):
+            p = kneading_numerator(w)
+            assert smallest_root_in(p, lo, 1.0) == scan_oracle(p, lo, 1.0), w
+            checked += 1
+    assert checked == 555
 
 
 def test_smallest_root_in_finds_first_sign_change():
