@@ -407,7 +407,7 @@ class _ExclusionWalk:
     """
 
     def __init__(self, poly: IntPolynomial, lo: float, hi: float):
-        self.terms = tuple((float(c), float(abs(c))) for c in reversed(poly.coeffs))
+        self.coeffs = poly.coeffs
         k = 8 * len(poly.coeffs) * 2.0 ** -53
         self.gamma = k / (1.0 - k)
         self.lo, self.hi = lo, hi
@@ -433,10 +433,10 @@ class _ExclusionWalk:
         """S(x), S'(x) and the absolute sums sum |c_m| x^m,
         sum m |c_m| x^(m-1) and sum C(m, 2) |c_m| x^(m-2)."""
         s = ds = a = d = d2 = 0.0
-        for c, ac in self.terms:
+        for c in reversed(self.coeffs):
             d2 = d2 * x + d
             d = d * x + a
-            a = a * x + ac
+            a = a * x + (c if c > 0 else -c)
             ds = ds * x + s
             s = s * x + c
         return s, ds, a, d, d2
