@@ -11,6 +11,7 @@ for parameters whose critical orbit closes up on a prescribed cycle word.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -101,20 +102,42 @@ class CriticalFrame:
 
     d0 is the real root of f_c left of both poles (unique there for every
     c > 0), d1 < 0 < d3 are the poles of the Newton map, and d2 = 0 is the
-    free critical point.
+    free critical point.  d0 is found on first use: only a point left of
+    d1 needs it.
     """
 
     c: float
-    d0: float
     d1: float
     d2: float
     d3: float
 
+    @functools.cached_property
+    def d0(self) -> float:
+        c, a, d1 = self.c, -self.c, self.d1
+        # f is positive at d1 (local max) and falls to -inf leftwards:
+        # bracket down until the sign flips, then bisect.
+        lo, hi = d1 - 1.0, d1
+        while quintic_value(a, 1.0, lo) >= 0.0:
+            lo = d1 + 2.0 * (lo - d1)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if quintic_value(a, 1.0, mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        d0 = 0.5 * (lo + hi)
+        # a couple of Newton polish steps squeeze out the last bits
+        for _ in range(3):
+            fp = 5.0 * d0 ** 4 - c
+            if fp != 0.0:
+                d0 -= quintic_value(a, 1.0, d0) / fp
+        return d0
+
     def classify(self, x: float) -> str:
-        if x < self.d0:
-            return "A"
         if x < self.d1:
-            return "B"
+            return "A" if x < self.d0 else "B"
         if x < 0.0:
             return "L"
         if x == 0.0:
@@ -128,29 +151,8 @@ def critical_frame(c: float) -> CriticalFrame:
     """Compute the frame for c > 0 (poles require a positive parameter)."""
     if not (c > 0.0 and math.isfinite(c)):
         raise ValueError(f"the critical frame needs c > 0, got {c!r}")
-    a = -c
     d1 = -((c / 5.0) ** 0.25)
-    d3 = -d1
-    # f is positive at d1 (local max) and falls to -inf leftwards: bracket
-    # down until the sign flips, then bisect.
-    lo, hi = d1 - 1.0, d1
-    while quintic_value(a, 1.0, lo) >= 0.0:
-        lo = d1 + 2.0 * (lo - d1)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if quintic_value(a, 1.0, mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    d0 = 0.5 * (lo + hi)
-    # a couple of Newton polish steps squeeze out the last bits
-    for _ in range(3):
-        fp = 5.0 * d0 ** 4 - c
-        if fp != 0.0:
-            d0 -= quintic_value(a, 1.0, d0) / fp
-    return CriticalFrame(c, d0, d1, 0.0, d3)
+    return CriticalFrame(c, d1, 0.0, -d1)
 
 
 # ----------------------------------------------------------------------
@@ -365,8 +367,11 @@ def find_superstable_parameter(word, bracket: tuple[float, float] | None = None,
     """Parameter where the critical orbit closes up on the given cycle word.
 
     The kneading sequence is monotone in c, so the word's position in the
-    symbolic order pins the parameter down by bisection; a final bisection
-    on the sign of the k-th return of zero polishes the result.  Raises
+    symbolic order pins the parameter down by bisection; each comparison
+    walks the critical orbit only until the order is decided (k+1 points
+    first, doubling up to the horizon while the prefix still compares
+    equal).  A final bisection on the sign of the k-th return of zero
+    polishes the result.  Raises
     ValueError when the word is not an admissible cycle word or no
     parameter in the bracket realizes it.
     """
@@ -383,8 +388,15 @@ def find_superstable_parameter(word, bracket: tuple[float, float] | None = None,
         return nudge_off_poles(lambda c: critical_symbols(c, n), c)[1]
 
     def side(c: float) -> int:
-        # realized > word means c is below the target, realized < word above
-        return order_compare(SymbolWord(stream(c, horizon)), target, horizon)
+        # realized > word means c is below the target, realized < word above.
+        # The first differing symbol fixes the sign, so a sign read on a
+        # prefix holds for the whole stream: walk longer only while it is 0.
+        n = min(horizon, k + 1)
+        while True:
+            s = order_compare(SymbolWord(stream(c, n)), target, n)
+            if s or n == horizon:
+                return s
+            n = min(horizon, 2 * n)
 
     s_lo, s_hi = side(lo), side(hi)
     if s_lo < 0 or s_hi > 0:

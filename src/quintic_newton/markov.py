@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .dynamics import (
     STOP_ABSORBED,
@@ -181,32 +180,39 @@ def transition_matrix(partition: MarkovPartition,
 # characteristic polynomial and the entropy routes
 # ----------------------------------------------------------------------
 
-def _mat_mul(A, B):
-    Bt = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
+def _matrix_powers(M, n: int):
+    """Yield M, M^2, ..., M^n as lists of int rows, each power the last one
+    times M by sparse row products over the nonzero (j, v) pairs of M."""
+    rows = [[(j, v) for j, v in enumerate(r) if v] for r in M]
+    P = [list(r) for r in M]
+    for k in range(n):
+        yield P
+        if k + 1 < n:
+            nxt = []
+            for prow in P:
+                acc = [0] * len(rows)
+                for l, a in enumerate(prow):
+                    if a:
+                        for j, v in rows[l]:
+                            acc[j] += a * v
+                nxt.append(acc)
+            P = nxt
 
 
 def char_poly(tm: TransitionMatrix | tuple[tuple[int, ...], ...]) -> IntPolynomial:
-    """det(I - t*M) exactly, via traces of powers and Newton's identities."""
-    M = list(list(r) for r in (tm.matrix if isinstance(tm, TransitionMatrix) else tm))
+    """det(I - t*M) exactly, via traces of powers and Newton's identities
+    on ints: j*e_j is divided exactly, and a remainder raises."""
+    M = tm.matrix if isinstance(tm, TransitionMatrix) else tm
     n = len(M)
-    traces = []
-    P = M
-    for _ in range(n):
-        traces.append(sum(P[i][i] for i in range(n)))
-        P = _mat_mul(P, M)
-    e = [Fraction(1)]
+    traces = [sum(P[i][i] for i in range(n)) for P in _matrix_powers(M, n)]
+    e = [1]
     for j in range(1, n + 1):
-        acc = Fraction(0)
-        for i in range(1, j + 1):
-            acc += (-1) ** (i - 1) * e[j - i] * traces[i - 1]
-        e.append(acc / j)
-    coeffs = []
-    for j, ej in enumerate(e):
-        if ej.denominator != 1:
+        acc = sum((-1) ** (i - 1) * e[j - i] * traces[i - 1] for i in range(1, j + 1))
+        ej, rem = divmod(acc, j)
+        if rem:
             raise ArithmeticError("non-integer coefficient in char poly")
-        coeffs.append((-1) ** j * int(ej))
-    return IntPolynomial(coeffs)
+        e.append(ej)
+    return IntPolynomial([(-1) ** j * ej for j, ej in enumerate(e)])
 
 
 def entropy_from_charpoly(p: IntPolynomial, tol: float = 1e-13) -> EntropyResult:
@@ -232,15 +238,8 @@ def lap_growth_estimate(c: float, k_max: int = 20) -> EntropyResult:
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
     tm = transition_matrix(markov_partition(c))
-    M = [list(r) for r in tm.matrix]
-    P = M
-    prev = None
-    total = sum(sum(r) for r in P)
-    for _ in range(k_max - 1):
-        prev = total
-        P = _mat_mul(P, M)
-        total = sum(sum(r) for r in P)
-    ratio = total / prev
+    totals = [sum(map(sum, P)) for P in _matrix_powers(tm.matrix, k_max)]
+    ratio = totals[-1] / totals[-2]
     return EntropyResult(1.0 / ratio, math.log(ratio), "lap-growth")
 
 

@@ -140,3 +140,20 @@ PERIODIC_NUMERATORS = {
     ("RM", 0): [1, -1, -1, -1],
     ("RL", 0): [1, 0, -2, -2, -1],
 }
+
+# sha256 over one line "<word> <outcome>\n" per admissible cycle word at
+# levels 2-10 (admissible_cycles order), where the outcome is
+# find_superstable_parameter(word).hex() or the ValueError message; recorded
+# from the full-length order bisection that read 64 symbols per comparison
+LOCATOR_DIGEST = "c8b65134136d7dcf3477a714f143abefd76a06a07e1cad899b9f857afd8fa26f"
+LOCATOR_WORDS = 627
+LOCATOR_NOT_REALIZED = 61
+
+# critical_frame(c).d0.hex(), from the eager bisection and Newton polish
+FREE_ROOT_HEX = {
+    0.01: "-0x1.0082cf7514fccp+0",
+    0.5: "-0x1.1749d62a73588p+0",
+    1.0: "-0x1.2ad46efb1f9cfp+0",
+    1.6: "-0x1.3ebd4c376fbcfp+0",
+    1.649: "-0x1.403ad284b7fb4p+0",
+}

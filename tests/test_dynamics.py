@@ -1,8 +1,15 @@
+import hashlib
 import math
 
 import pytest
 
-from frozen import SUPERSTABLE
+from frozen import (
+    FREE_ROOT_HEX,
+    LOCATOR_DIGEST,
+    LOCATOR_NOT_REALIZED,
+    LOCATOR_WORDS,
+    SUPERSTABLE,
+)
 from quintic_newton.dynamics import (
     C0,
     ConvergedToRoot,
@@ -23,6 +30,7 @@ from quintic_newton.dynamics import (
     symbol_stream,
     walk_orbit,
 )
+from quintic_newton.words import admissible_cycles
 
 
 def test_band_constant():
@@ -58,6 +66,58 @@ def test_critical_frame_structure():
     assert f.classify(f.d3 + 1.0) == "R"
     with pytest.raises(ValueError):
         critical_frame(-1.0)
+
+
+def test_free_root_is_found_on_demand_with_the_same_bits():
+    for c, d0_hex in FREE_ROOT_HEX.items():
+        assert critical_frame(c).d0.hex() == d0_hex, c
+    # a frame that only classifies points right of the left pole never
+    # computes the free root
+    f = critical_frame(1.0)
+    for x in (f.d1, f.d1 / 2, 0.0, f.d3 / 2, f.d3, f.d3 + 1.0):
+        f.classify(x)
+    assert "d0" not in f.__dict__
+    f.d0
+    assert "d0" in f.__dict__
+
+
+def test_classify_letters_around_every_marked_point():
+    def eager(f, d0, x):
+        # the letters as read with the free root computed up front
+        if x < d0:
+            return "A"
+        if x < f.d1:
+            return "B"
+        if x < 0.0:
+            return "L"
+        if x == 0.0:
+            return "C"
+        return "M" if x < f.d3 else "R"
+
+    for c, d0_hex in FREE_ROOT_HEX.items():
+        f, d0 = critical_frame(c), float.fromhex(d0_hex)
+        grid = [y for m in (d0, f.d1, 0.0, f.d3)
+                for y in (m, math.nextafter(m, -math.inf), math.nextafter(m, math.inf),
+                          m - 1e-3, m + 1e-3, m - 0.5, m + 0.5)]
+        for x in grid:
+            assert critical_frame(c).classify(x) == eager(f, d0, x), (c, x)
+
+
+def test_locator_outcomes_are_pinned_at_levels_2_to_10():
+    # every c* bit and every error message, against the frozen digest
+    digest, words, not_realized = hashlib.sha256(), 0, 0
+    for level in range(2, 11):
+        for word in admissible_cycles(level):
+            try:
+                outcome = find_superstable_parameter(word).hex()
+            except ValueError as exc:
+                outcome = str(exc)
+                not_realized += "not realized" in outcome
+            digest.update(f"{word} {outcome}\n".encode())
+            words += 1
+    assert words == LOCATOR_WORDS
+    assert not_realized == LOCATOR_NOT_REALIZED
+    assert digest.hexdigest() == LOCATOR_DIGEST
 
 
 def test_superstable_parameters_match_frozen_values():

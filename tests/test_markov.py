@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +20,7 @@ from quintic_newton.markov import (
     transition_matrix,
 )
 from quintic_newton.polynomials import IntPolynomial
-from quintic_newton.words import SymbolWord, TAIL_PERIODIC
+from quintic_newton.words import SymbolWord, TAIL_PERIODIC, admissible_cycles
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +75,78 @@ def test_interval_images_align_with_boundaries():
 def test_char_poly_on_known_matrix():
     fib = ((1, 1), (1, 0))
     assert char_poly(fib).to_list() == [1, -1, -1]
+
+
+def dense_mat_mul(A, B):
+    Bt = list(zip(*B))
+    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
+
+
+def dense_char_poly(M):
+    """det(I - t*M) from dense matrix powers and Newton's identities over
+    Fraction: the reference the sparse integer char_poly must match."""
+    M = [list(r) for r in M]
+    n = len(M)
+    traces, P = [], M
+    for _ in range(n):
+        traces.append(sum(P[i][i] for i in range(n)))
+        P = dense_mat_mul(P, M)
+    e = [Fraction(1)]
+    for j in range(1, n + 1):
+        acc = Fraction(0)
+        for i in range(1, j + 1):
+            acc += (-1) ** (i - 1) * e[j - i] * traces[i - 1]
+        e.append(acc / j)
+    assert all(ej.denominator == 1 for ej in e)
+    return IntPolynomial([(-1) ** j * int(ej) for j, ej in enumerate(e)])
+
+
+def located_matrices(max_level):
+    out = []
+    for level in range(2, max_level + 1):
+        for word in admissible_cycles(level):
+            try:
+                c = find_superstable_parameter(word)
+                out.append((word, c, transition_matrix(markov_partition(c)).matrix))
+            except ValueError:
+                continue
+    return out
+
+
+def test_char_poly_matches_the_dense_reference_on_every_window_matrix():
+    mats = located_matrices(8)
+    assert len(mats) == 135
+    for word, _, m in mats:
+        assert char_poly(m) == dense_char_poly(m), word
+
+
+def test_char_poly_matches_the_dense_reference_on_random_matrices():
+    rng = random.Random(0)
+    for n in range(1, 17):
+        for entries in ((0, 1), tuple(range(-3, 4))):
+            for _ in range(3):
+                m = tuple(tuple(rng.choice(entries) for _ in range(n))
+                          for _ in range(n))
+                assert char_poly(m) == dense_char_poly(m), m
+
+
+def test_char_poly_on_one_by_one_and_zero_matrices():
+    for v in (-2, 0, 1, 5):
+        assert char_poly(((v,),)).to_list() == dense_char_poly(((v,),)).to_list()
+    assert char_poly(((7,),)).to_list() == [1, -7]
+    for n in (1, 2, 5):
+        zero = tuple((0,) * n for _ in range(n))
+        assert char_poly(zero).to_list() == [1]
+
+
+def test_lap_growth_matches_dense_path_totals():
+    for word, c, m in located_matrices(5):
+        P, totals = [list(r) for r in m], []
+        for _ in range(20):
+            totals.append(sum(map(sum, P)))
+            P = dense_mat_mul(P, m)
+        ratio = totals[-1] / totals[-2]
+        assert lap_growth_estimate(c, k_max=20).t_star == 1.0 / ratio, word
 
 
 def test_char_poly_identity_with_kneading(c_rlrc):
