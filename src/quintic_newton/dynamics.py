@@ -371,9 +371,8 @@ def find_superstable_parameter(word, bracket: tuple[float, float] | None = None,
     walks the critical orbit only until the order is decided (k+1 points
     first, doubling up to the horizon while the prefix still compares
     equal).  A final bisection on the sign of the k-th return of zero
-    polishes the result.  Raises
-    ValueError when the word is not an admissible cycle word or no
-    parameter in the bracket realizes it.
+    polishes the result.  Raises ValueError when the word is not an
+    admissible cycle word or no parameter in the bracket realizes it.
     """
     target = as_word(word)
     if not (target.is_cycle() and is_admissible(target)):
