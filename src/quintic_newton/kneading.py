@@ -15,9 +15,12 @@ is an integer polynomial with a rigid shape: 1 - t, middle coefficients in
 {-2, 0, 2}, and a tail -delta*(t^k + t^(k+1)) whose sign delta flips with
 the parity of L's in the word.  The same combination without the cycle
 factor handles convergent words.  ``cycle_polynomial`` rebuilds P by a
-three-case suffix recursion instead of the determinant;
-``build_polynomial_tree`` cross-checks the two routes and refuses to hand
-out a tree where they disagree.  ``kneading_numerator`` reads the same
+three-case suffix recursion instead of the determinant, one branch step
+from the parent's polynomial per word.  ``build_polynomial_tree`` keeps
+the polynomials it has built in a dict that lives for that one call, so
+each word, the non-admissible intermediates included, costs one step; it
+cross-checks every node against the determinant and refuses to hand out a
+tree where the two routes disagree.  ``kneading_numerator`` reads the same
 numerator straight off the word as one integer series; every entropy
 route uses it, and the determinant is kept as the oracle it is tested
 against.
@@ -25,6 +28,7 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .polynomials import IntPolynomial, RationalFunctionInT
 from .words import (
@@ -37,7 +41,6 @@ from .words import (
     _parse_parent,
     as_word,
     generate_tree,
-    parse_parent,
 )
 
 # increment components; C never shows up in an increment
@@ -56,7 +59,7 @@ class StructureError(ValueError):
 # rows of the increment matrix: integer numerators over one (1 - t^q)
 # ----------------------------------------------------------------------
 
-def invariant_coordinate(w) -> tuple[list[IntPolynomial], int]:
+def invariant_coordinate(w) -> tuple[Sequence[IntPolynomial], int]:
     """theta(w) = sum over positions of (running slope sign) * symbol * t^m.
 
     The word must have a resolved tail and contain no C: the coordinate is
@@ -91,7 +94,7 @@ def invariant_coordinate(w) -> tuple[list[IntPolynomial], int]:
         elif sigma < 0:
             row[m + p] -= eps        # a block term, times (1 - t^p)
         eps *= LAP_SIGN[s]
-    return [IntPolynomial(r) for r in rows], q
+    return [IntPolynomial._trusted(r) for r in rows], q
 
 
 # The increments at the free root and the two poles, over (1 - t).  Their
@@ -99,12 +102,14 @@ def invariant_coordinate(w) -> tuple[list[IntPolynomial], int]:
 # the root side falls to an infinite A run, pole sides escape to the far
 # right and then run down the R branch.
 _UNIVERSAL_ROWS = {
-    # -(1+t)/(1-t) A + B
-    0: ((-1, -1), (1, -1), (), (), ()),
-    # t/(1-t) A - B + L - t/(1-t) R
-    1: ((0, 1), (-1, 1), (1, -1), (), (0, -1)),
-    # t/(1-t) A - M + (1 - t/(1-t)) R
-    3: ((0, 1), (), (), (-1, 1), (1, -2)),
+    i: tuple(map(IntPolynomial, row)) for i, row in (
+        # -(1+t)/(1-t) A + B
+        (0, ((-1, -1), (1, -1), (), (), ())),
+        # t/(1-t) A - B + L - t/(1-t) R
+        (1, ((0, 1), (-1, 1), (1, -1), (), (0, -1))),
+        # t/(1-t) A - M + (1 - t/(1-t)) R
+        (3, ((0, 1), (), (), (-1, 1), (1, -2))),
+    )
 }
 
 
@@ -134,13 +139,14 @@ def _critical_side_streams(word) -> tuple[SymbolWord, SymbolWord]:
             SymbolWord("L" + head, word.tail, start))
 
 
-def kneading_increment(point_index: int, word=None) -> tuple[list[IntPolynomial], int]:
+def kneading_increment(point_index: int,
+                       word=None) -> tuple[Sequence[IntPolynomial], int]:
     """nu_i for marked point i in {0: root, 1: left pole, 2: zero, 3: right
     pole}, as ``(numerators, q)`` like ``invariant_coordinate``.  The zero
     increment needs the kneading word; the others are parameter
     independent."""
     if point_index in _UNIVERSAL_ROWS:
-        return [IntPolynomial(c) for c in _UNIVERSAL_ROWS[point_index]], 1
+        return _UNIVERSAL_ROWS[point_index], 1
     if point_index == 2:
         if word is None:
             raise ValueError("the zero increment needs the kneading word")
@@ -155,7 +161,7 @@ def kneading_increment(point_index: int, word=None) -> tuple[list[IntPolynomial]
 # determinant
 # ----------------------------------------------------------------------
 
-def _det(rows: list[list[IntPolynomial]]) -> IntPolynomial:
+def _det(rows: list[Sequence[IntPolynomial]]) -> IntPolynomial:
     if len(rows) == 1:
         return rows[0][0]
     acc = IntPolynomial()
@@ -256,9 +262,9 @@ def shape_split(P: IntPolynomial, k: int) -> tuple[IntPolynomial, int]:
     {-2, 0, 2}; q = -delta*(t^k + t^(k+1)) with delta +1 or -1.  Returns
     (p, delta) and raises StructureError when the shape does not hold.
     """
-    if P.degree != k + 1:
+    cs = P.coeffs
+    if len(cs) != k + 2:
         raise StructureError(f"degree {P.degree}, expected {k + 1}: {P}")
-    cs = [P[m] for m in range(k + 2)]
     if cs[0] != 1 or cs[1] != -1:
         raise StructureError(f"head is not 1 - t: {P}")
     for j in range(2, k):
@@ -266,8 +272,25 @@ def shape_split(P: IntPolynomial, k: int) -> tuple[IntPolynomial, int]:
             raise StructureError(f"middle coefficient {cs[j]} at t^{j}: {P}")
     if cs[k] != cs[k + 1] or cs[k] not in (-1, 1):
         raise StructureError(f"tail is not -delta*(t^{k} + t^{k+1}): {P}")
-    delta = -cs[k]
-    return IntPolynomial(cs[:k]), delta
+    return IntPolynomial._trusted(list(cs[:k])), -cs[k]
+
+
+# The branch images of a split (p, delta) past p: their coefficients of
+# t^k, t^(k+1), ... in units of delta.
+_STEP_TAILS = {"A": (-2,), "L": (2,), "M": (0, -2), "R": (0, -1, -1)}
+# A cycle word's polynomial from its parse parent's split, by edge: the R
+# image, or the A image plus the germination term -+delta*(t^kc + t^(kc+1))
+# at the child's length kc = k + 1 (M) or k + 2 (L).
+_EDGE_TAILS = {"R": (0, -1, -1), "M": (-2, -1, -1), "L": (-2, 0, 1, 1)}
+
+
+def _attach(p: IntPolynomial, k: int, delta: int,
+            tail: tuple[int, ...]) -> IntPolynomial:
+    """p plus delta * tail[i] * t^(k + i)."""
+    cs = list(p.coeffs)
+    cs += [0] * (k - len(cs))
+    cs += [delta * c for c in tail]
+    return IntPolynomial._trusted(cs)
 
 
 def tree_polynomial_step(d_k: IntPolynomial, k: int, branch: str,
@@ -276,68 +299,64 @@ def tree_polynomial_step(d_k: IntPolynomial, k: int, branch: str,
 
     ``d_k`` is the cleared polynomial of a length-k cycle word (the form
     with the single (1-t) factor still in place).  The four branch images
-    are the literal step formulas; only the R branch lands on the cleared
-    polynomial of the one-longer cycle word, the other three are the
-    convergent and germination images used to assemble longer cycles.
+    are the literal step formulas: p - 2*delta*t^k (A), p + 2*delta*t^k
+    (L), p - 2*delta*t^(k+1) (M) and p - delta*(t^(k+1) + t^(k+2)) (R).
+    Only the R branch lands on the cleared polynomial of the one-longer
+    cycle word, the other three are the convergent and germination images
+    used to assemble longer cycles.
     """
     p, d = shape_split(d_k, k)
     if delta is not None and delta != d:
         raise StructureError(f"claimed delta {delta} but split gives {d}")
-    tk = IntPolynomial.t_power(k, 2 * d)
-    if branch == "A":
-        return p - tk
-    if branch == "L":
-        return p + tk
-    if branch == "M":
-        return p - IntPolynomial.t_power(k + 1, 2 * d)
-    if branch == "R":
-        q = IntPolynomial.t_power(k, -d) + IntPolynomial.t_power(k + 1, -d)
-        return p + q.shift(1)
-    raise ValueError(f"unknown branch {branch!r}")
+    if branch not in _STEP_TAILS:
+        raise ValueError(f"unknown branch {branch!r}")
+    return _attach(p, k, d, _STEP_TAILS[branch])
 
 
 _ROOT_POLY = IntPolynomial([1, -1, -1, -1])
 
 
-def cycle_polynomial(word) -> IntPolynomial:
+def cycle_polynomial(word, *,
+                     known: dict[str, IntPolynomial] | None = None) -> IntPolynomial:
     """Cleared polynomial of a cycle word by the suffix recursion.
 
     Works for every word the suffix parsing reaches, including the
     formally-valid intermediates that are not themselves admissible; the
-    recursion agrees with the determinant route on all of them.
+    recursion agrees with the determinant route on all of them.  ``known``
+    maps plain cycle strings to their polynomials: the walk up the parse
+    stops at the first word found there, or at the root RC, and every word
+    it passes on the way back down is stored, so each new word costs one
+    branch step.  Without it the walk starts over from the root.
     """
-    return _from_parse(parse_parent(word))
+    w = as_word(word)
+    if not w.is_cycle():
+        raise WordError(f"not a cycle word: {word!r}")
+    if known is None:
+        known = {}
+    chain = []
+    word = w.head
+    while word not in known and word != "RC":
+        parent, edge = _parse_parent(word)
+        chain.append((word, edge))
+        word = parent
+    P = known.get(word, _ROOT_POLY)
+    for child, edge in reversed(chain):
+        p, delta = shape_split(P, len(word))
+        P = known[child] = _attach(p, len(word), delta, _EDGE_TAILS[edge])
+        word = child
+    return P
 
 
-def _from_parse(up: tuple[str, str] | None) -> IntPolynomial:
-    """The cycle polynomial of the word whose parse_parent is ``up``."""
-    if up is None:
-        return _ROOT_POLY
-    parent, edge = up
-    P = _from_parse(_parse_parent(parent))
-    kp = len(parent)
-    p, delta = shape_split(P, kp)
-    if edge == "R":
-        return tree_polynomial_step(P, kp, "R")
-    g = tree_polynomial_step(P, kp, "A")
-    if edge == "M":
-        kc = kp + 1
-        return g - IntPolynomial.t_power(kc, delta) \
-                 - IntPolynomial.t_power(kc + 1, delta)
-    if edge == "L":
-        kc = kp + 2
-        return g + IntPolynomial.t_power(kc, delta) \
-                 + IntPolynomial.t_power(kc + 1, delta)
-    raise WordError(f"unexpected edge {edge!r}")
-
-
-def convergent_polynomial(word) -> IntPolynomial:
-    """Cleared polynomial of a convergent word: the A image of its cycle."""
+def convergent_polynomial(word, *,
+                          known: dict[str, IntPolynomial] | None = None) -> IntPolynomial:
+    """Cleared polynomial of a convergent word: the A image of its cycle,
+    taken from ``known`` (see ``cycle_polynomial``) when it is there."""
     w = as_word(word)
     if w.tail != TAIL_A_INF:
         raise WordError(f"not a convergent word: {word!r}")
     cycle = w.head[:-1] + "C"
-    return tree_polynomial_step(cycle_polynomial(cycle), len(cycle), "A")
+    return tree_polynomial_step(cycle_polynomial(cycle, known=known),
+                                len(cycle), "A")
 
 
 # ----------------------------------------------------------------------
@@ -358,19 +377,24 @@ class PolyTreeNode:
 def build_polynomial_tree(max_level: int) -> dict[int, list[PolyTreeNode]]:
     """The admissible word tree with exact polynomials attached.
 
-    Every cycle node's recursion value is recomputed through the
-    determinant and the two must agree exactly; a mismatch raises
-    RuntimeError rather than returning a partial tree.
+    The levels are built in order, so a word's parse parent is built before
+    it: one dict of cycle polynomials, keyed by the plain cycle string and
+    local to this call, carries them from word to word, and each new word,
+    admissible or an intermediate, costs one branch step.  Every node's
+    recursion value is recomputed through the determinant and the two must
+    agree exactly; a mismatch raises RuntimeError rather than returning a
+    partial tree.
     """
     one_minus_t = IntPolynomial.one_minus_t_power(1)
+    known: dict[str, IntPolynomial] = {}
     out: dict[int, list[PolyTreeNode]] = {}
     for level, nodes in generate_tree(max_level).items():
         bucket = []
         for node in nodes:
             if node.kind == "cycle":
-                poly = cycle_polynomial(node.word)
+                poly = cycle_polynomial(node.word, known=known)
             else:
-                poly = convergent_polynomial(node.word)
+                poly = convergent_polynomial(node.word, known=known)
             check = determinant_polynomial(node.word)
             if poly != check:
                 raise RuntimeError(

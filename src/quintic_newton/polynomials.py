@@ -332,9 +332,12 @@ class RationalFunctionInT:
 # sees the right root.
 _GRID_CELLS = 4096
 # a walk cell narrower than this, or a walk longer than this many
-# evaluations, means floating point cannot decide the cell
+# evaluations (the one at lo included), means floating point cannot decide
+# the cell.  Near a cluster of k roots at distance e an excluded cell is
+# only about e^k wide, so the walk crawls there; walks that find a simple
+# root or clear the interval take a few dozen evaluations.
 _MIN_CELL = 1e-12
-_WALK_BUDGET = _GRID_CELLS
+_WALK_BUDGET = 256
 
 
 def smallest_root_in(poly: IntPolynomial, lo: float, hi: float,
@@ -463,7 +466,7 @@ class _ExclusionWalk:
             return "stall", x, x, sign
         step = (end - x) / _GRID_CELLS
         h, nxt = step, self.next_point(x)
-        for _ in range(_WALK_BUDGET):
+        for _ in range(_WALK_BUDGET - 1):
             b = min(x + h, end)
             if h <= step and nxt < b:
                 b = nxt

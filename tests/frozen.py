@@ -141,6 +141,9 @@ PERIODIC_NUMERATORS = {
     ("RL", 0): [1, 0, -2, -2, -1],
 }
 
+# sha256 of what `tree --max-level 10 --format json` prints
+TREE_DIGEST = "751e3fdca3016b3720399a6f034d2a917d7b3ad6bd94b6ccaa22f5179300d284"
+
 # sha256 over one line "<word> <outcome>\n" per admissible cycle word at
 # levels 2-10 (admissible_cycles order), where the outcome is
 # find_superstable_parameter(word).hex() or the ValueError message; recorded

@@ -1,7 +1,7 @@
 import hashlib
 import json
 
-from frozen import LEVELS, SUPERSTABLE
+from frozen import LEVELS, SUPERSTABLE, TREE_DIGEST
 from quintic_newton import cli
 from quintic_newton.cli import main
 from quintic_newton.dynamics import PoleError
@@ -61,6 +61,12 @@ def test_tree_json(capsys):
         assert len(cycles) == LEVELS[level]
     roots = [n for n in payload["levels"]["2"] if n["parent"] is None]
     assert [n["word"] for n in roots] == ["RC"]
+
+
+def test_tree_json_digest_at_level_10(capsys):
+    assert main(["tree", "--max-level", "10", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TREE_DIGEST
 
 
 def test_entropy_curve_is_deterministic(tmp_path):

@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from quintic_newton import kneading
+
 from frozen import CIRCLES, SQUARES, LEVELS, PERIODIC_NUMERATORS
 from quintic_newton.kneading import (
     StructureError,
@@ -22,6 +24,7 @@ from quintic_newton.words import (
     SymbolWord,
     TAIL_A_INF,
     TAIL_PERIODIC,
+    _parse_parent,
     admissible_convergents,
     admissible_cycles,
 )
@@ -139,6 +142,55 @@ def test_polynomial_tree_levels():
         for n in nodes:
             table = CIRCLES if n.kind == "cycle" else SQUARES
             assert n.poly.to_list() == table[n.word], n.word
+
+
+def test_polynomial_tree_raises_when_the_determinant_disagrees(monkeypatch):
+    target = admissible_cycles(6)[-1]
+    real = kneading.determinant_polynomial
+
+    def wrong_on_target(word):
+        return real(word) + 1 if word == target else real(word)
+
+    monkeypatch.setattr(kneading, "determinant_polynomial", wrong_on_target)
+    with pytest.raises(RuntimeError, match=f"disagree on {target}:"):
+        build_polynomial_tree(6)
+
+
+def _cycle_chain(word):
+    """A cycle word and every parse ancestor below the root RC."""
+    while word != "RC":
+        yield word
+        word = _parse_parent(word)[0]
+
+
+def test_polynomial_tree_takes_one_step_per_word(monkeypatch):
+    calls = [0]
+    real = kneading.shape_split
+
+    def counted(P, k):
+        calls[0] += 1
+        return real(P, k)
+
+    monkeypatch.setattr(kneading, "shape_split", counted)
+    tree = build_polynomial_tree(10)
+    first = calls[0]
+    # every node, and every intermediate its recursion passes through
+    words = set()
+    for nodes in tree.values():
+        for n in nodes:
+            words.add(n.word)
+            words.update(_cycle_chain(n.word[:-1] + "C"))
+    assert 0 < first <= len(words)
+    # nothing carried over from the first build
+    calls[0] = 0
+    build_polynomial_tree(10)
+    assert calls[0] == first
+    monkeypatch.undo()
+    for level in range(2, 9):
+        for n in tree[level]:
+            alone = (cycle_polynomial(n.word) if n.kind == "cycle"
+                     else convergent_polynomial(n.word))
+            assert n.poly == alone, n.word
 
 
 def test_a_tail_words_share_the_convergent_polynomial():

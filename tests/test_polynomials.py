@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quintic_newton import polynomials
 from quintic_newton.kneading import kneading_numerator
 from quintic_newton.markov import BAND_ROOT_LO
 from quintic_newton.polynomials import (
@@ -157,6 +158,25 @@ def linear(q, p):
 def test_smallest_root_in_sees_roots_the_scan_misses(poly):
     assert abs(scan_oracle(poly, 0.3, 1.0) - 0.6) > 1e-5
     assert abs(smallest_root_in(poly, 0.3, 1.0) - 0.6) <= 1e-13
+
+
+@pytest.mark.parametrize("poly", [
+    linear(2, 1) * linear(2, 1) * linear(2, 1),     # triple root at 0.5
+    linear(10000, 5000) * linear(10000, 5001) * linear(10000, 5002),
+], ids=["triple-root", "three-within-1e-4"])
+def test_smallest_root_in_hands_a_root_cluster_to_the_exact_fallback(
+        poly, monkeypatch):
+    evals = [0]
+    at = polynomials._ExclusionWalk.at
+
+    def counted(self, x):
+        evals[0] += 1
+        return at(self, x)
+
+    monkeypatch.setattr(polynomials._ExclusionWalk, "at", counted)
+    t = smallest_root_in(poly, 0.0, 1.0)
+    assert evals[0] <= 256
+    assert abs(Fraction(t) - Fraction(1, 2)) <= 1e-13
 
 
 def test_smallest_root_in_holds_tol_where_float_bisection_does_not():
