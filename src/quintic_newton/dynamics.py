@@ -6,17 +6,18 @@ points of the polynomial) and one free critical point at zero.  This module
 provides the Newton step for any x^5 + a*x + b, the critical frame that cuts
 the line into the coding pieces, orbit iteration with outcome
 classification, the orbit layer every other module codes orbits with (one
-walker, one periodic-tail rule, one pole-nudge schedule), and the locator
-for parameters whose critical orbit closes up on a prescribed cycle word.
+walker, the generator ``orbit_symbols``, which steps only when asked; one
+periodic-tail rule; one pole-nudge schedule), and the locator for
+parameters whose critical orbit closes up on a prescribed cycle word.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
-from .words import SymbolWord, as_word, is_admissible, order_compare
+from .words import _signed_compare, as_word, is_admissible
 
 # Parameter where the right local minimum of x^5 - c*x + 1 touches the axis:
 # above it the polynomial has three real roots, below it one.
@@ -270,32 +271,49 @@ class OrbitCode(NamedTuple):
         return PoleError(self.points[-1], len(self.symbols))
 
 
-def walk_orbit(c: float, x0: float, n: int, tol: float = 1e-10) -> OrbitCode:
-    """Code the orbit of x0 over A B L C M R, for at most n points.
+def orbit_symbols(c: float, x0: float, n: int,
+                  tol: float = 1e-10) -> Iterator[tuple[float, str | None]]:
+    """Yield (point, symbol) along the orbit of x0 for at most n points.
 
-    A point within tol of zero reads C and the orbit continues; entering A
-    or B ends the walk, as does a point within tol of a pole.  A Newton step
-    that itself meets a pole raises PoleError.
+    This is the one orbit walker: it codes over A B L C M R and takes the
+    next Newton step only when the caller asks for the next pair.  A point
+    within tol of zero reads C and the orbit continues; A or B ends the
+    walk after its symbol; a point within tol of a pole yields the symbol
+    None and ends the walk.  A Newton step that itself meets a pole raises
+    PoleError.
     """
     frame = critical_frame(c)
     d1, d3, a = frame.d1, frame.d3, -c
+    classify = frame.classify
+    x = x0
+    for _ in range(n):
+        if abs(x - d1) <= tol or abs(x - d3) <= tol:
+            yield x, None
+            return
+        s = "C" if abs(x) <= tol else classify(x)
+        yield x, s
+        if s in ("A", "B"):
+            return
+        x = newton_step(a, 1.0, x)
+
+
+def walk_orbit(c: float, x0: float, n: int, tol: float = 1e-10) -> OrbitCode:
+    """Code the orbit of x0 for at most n points, with the reason it stopped.
+
+    The walk runs ``orbit_symbols`` to its end, so it also takes the Newton
+    step after the n-th point.
+    """
     syms: list[str] = []
     xs: list[float] = []
-    # bound once: this loop is the hot path of the locator and the curve
-    classify, add_symbol, add_point = frame.classify, syms.append, xs.append
-    x = x0
     stop = STOP_HORIZON
-    for _ in range(n):
-        add_point(x)
-        if abs(x - d1) <= tol or abs(x - d3) <= tol:
+    for x, s in orbit_symbols(c, x0, n, tol):
+        xs.append(x)
+        if s is None:
             stop = STOP_POLE
-            break
-        s = "C" if abs(x) <= tol else classify(x)
-        add_symbol(s)
-        if s in ("A", "B"):
-            stop = STOP_ABSORBED
-            break
-        x = newton_step(a, 1.0, x)
+        else:
+            syms.append(s)
+            if s in ("A", "B"):
+                stop = STOP_ABSORBED
     return OrbitCode("".join(syms), tuple(xs), stop)
 
 
@@ -368,11 +386,12 @@ def find_superstable_parameter(word, bracket: tuple[float, float] | None = None,
 
     The kneading sequence is monotone in c, so the word's position in the
     symbolic order pins the parameter down by bisection; each comparison
-    walks the critical orbit only until the order is decided (k+1 points
-    first, doubling up to the horizon while the prefix still compares
-    equal).  A final bisection on the sign of the k-th return of zero
-    polishes the result.  Raises ValueError when the word is not an
-    admissible cycle word or no parameter in the bracket realizes it.
+    reads the critical orbit against the word's prefix and stops at the
+    first symbol where they differ, which decides the order (a walk that
+    matches up to the horizon compares equal).  A final bisection on the
+    sign of the k-th return of zero polishes the result.  Raises ValueError
+    when the word is not an admissible cycle word or no parameter in the
+    bracket realizes it.
     """
     target = as_word(word)
     if not (target.is_cycle() and is_admissible(target)):
@@ -382,20 +401,21 @@ def find_superstable_parameter(word, bracket: tuple[float, float] | None = None,
     if not (0.0 < lo < hi):
         raise ValueError(f"bad bracket {bracket!r}")
     horizon = max(64, 6 * k)
+    expected = target.prefix(horizon)
 
-    def stream(c: float, n: int) -> str:
-        return nudge_off_poles(lambda c: critical_symbols(c, n), c)[1]
+    def read(c: float) -> int:
+        # realized > word means c is below the target, realized < word above;
+        # the first symbol where the orbit leaves the word fixes the sign
+        orbit = orbit_symbols(c, newton_eval(c, 0.0), horizon)
+        for i, ((x, s), t) in enumerate(zip(orbit, expected)):
+            if s != t:
+                if s is None:
+                    raise PoleError(x, i)
+                return _signed_compare(expected[:i] + s, expected)
+        return 0
 
     def side(c: float) -> int:
-        # realized > word means c is below the target, realized < word above.
-        # The first differing symbol fixes the sign, so a sign read on a
-        # prefix holds for the whole stream: walk longer only while it is 0.
-        n = min(horizon, k + 1)
-        while True:
-            s = order_compare(SymbolWord(stream(c, n)), target, n)
-            if s or n == horizon:
-                return s
-            n = min(horizon, 2 * n)
+        return nudge_off_poles(read, c)[1]
 
     s_lo, s_hi = side(lo), side(hi)
     if s_lo < 0 or s_hi > 0:
@@ -457,7 +477,7 @@ def find_superstable_parameter(word, bracket: tuple[float, float] | None = None,
     if residual > 1e-8:
         raise ValueError(
             f"{word} not realized: return residual {residual:.3e} at c={c_star!r}")
-    realized = stream(c_star, k)[: k - 1]
+    realized = nudge_off_poles(lambda c: critical_symbols(c, k), c_star)[1][: k - 1]
     if realized != target.head[: k - 1]:
         raise ValueError(
             f"bracket closed on {realized!r}, not {target.head[:-1]!r}")

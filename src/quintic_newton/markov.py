@@ -13,6 +13,7 @@ whose tail is provably below the working tolerance.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .dynamics import (
@@ -201,10 +202,20 @@ def _matrix_powers(M, n: int):
 
 def char_poly(tm: TransitionMatrix | tuple[tuple[int, ...], ...]) -> IntPolynomial:
     """det(I - t*M) exactly, via traces of powers and Newton's identities
-    on ints: j*e_j is divided exactly, and a remainder raises."""
+    on ints: j*e_j is divided exactly, and a remainder raises.
+
+    Only M, ..., M^h are built, h = ceil(n/2); each higher trace pairs two
+    of them, tr(M^(a+h)) = sum over i, l of (M^a)_il (M^h)_li.
+    """
     M = tm.matrix if isinstance(tm, TransitionMatrix) else tm
     n = len(M)
-    traces = [sum(P[i][i] for i in range(n)) for P in _matrix_powers(M, n)]
+    h = (n + 1) // 2
+    powers = list(_matrix_powers(M, h))
+    traces = [sum(P[i][i] for i in range(n)) for P in powers]
+    if h:
+        cols = list(zip(*powers[-1]))
+        traces += [sum(sum(map(operator.mul, row, col)) for row, col in zip(P, cols))
+                   for P in powers[:n - h]]
     e = [1]
     for j in range(1, n + 1):
         acc = sum((-1) ** (i - 1) * e[j - i] * traces[i - 1] for i in range(1, j + 1))

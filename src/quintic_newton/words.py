@@ -342,36 +342,52 @@ def generate_tree(max_level: int) -> dict[int, list[TreeNode]]:
     """Admissible words by level with their tree structure.
 
     Level k holds every admissible cycle word and convergent word of
-    length k, each level sorted by order_compare.  Cycle nodes point to
-    their structural parent (chaining through non-admissible intermediates
-    when necessary); convergent nodes hang off the cycle word with the
-    same interior.
+    length k, each level sorted by order_compare (a cycle first where the
+    order ties).  Cycle nodes point to their structural parent (chaining
+    through non-admissible intermediates when necessary); convergent nodes
+    hang off the cycle word with the same interior.
     """
     if max_level < 2:
         raise ValueError("max_level must be at least 2")
     levels: dict[int, list[TreeNode]] = {}
+    # every admissible cycle word up to the current level: the parse
+    # parents and a convergent's cycle are never longer
+    cycles_so_far: set[str] = set()
     for k in range(2, max_level + 1):
+        cycles = admissible_cycles(k)
+        cycles_so_far.update(cycles)
         bucket: list[TreeNode] = []
-        entries = sorted([(w, "cycle") for w in admissible_cycles(k)]
-                         + [(w, "convergent") for w in admissible_convergents(k)],
-                         key=lambda e: _by_order(as_word(e[0])))
-        for w, kind in entries:
+        for w in _merge_by_order(cycles, admissible_convergents(k)):
+            kind = "cycle" if w.endswith("C") else "convergent"
             if kind == "cycle":
-                parent, edge = _nearest_admissible_ancestor(w)
+                parent, edge = _nearest_admissible_ancestor(w, cycles_so_far)
             else:
                 cycle = w[:-1] + "C"
-                if is_admissible(cycle):
+                if cycle in cycles_so_far:
                     parent, edge = cycle, "A"
                 else:
-                    parent, edge = _nearest_admissible_ancestor(cycle)
+                    parent, edge = _nearest_admissible_ancestor(cycle, cycles_so_far)
                     edge = edge + "A"
             bucket.append(TreeNode(w, k, kind, parent, edge))
         levels[k] = bucket
     return levels
 
 
-def _nearest_admissible_ancestor(word: str) -> tuple[str | None, str]:
-    """Walk parse_parent upward until an admissible word is reached.
+def _merge_by_order(first: list[str], second: list[str]) -> list[str]:
+    """Merge two lists sorted by order_compare into one; where the order
+    ties, words of ``first`` come first, as in a stable sort of both."""
+    merged, j = [], 0
+    for w in first:
+        while j < len(second) and order_compare(second[j], w) < 0:
+            merged.append(second[j])
+            j += 1
+        merged.append(w)
+    merged.extend(second[j:])
+    return merged
+
+
+def _nearest_admissible_ancestor(word: str, admissible: set[str]) -> tuple[str | None, str]:
+    """Walk parse_parent upward until a word in ``admissible`` is reached.
 
     Returns (None, "") for the root.  The edge string is read top-down,
     one label per parsing step, so a chain through a non-admissible
@@ -381,7 +397,7 @@ def _nearest_admissible_ancestor(word: str) -> tuple[str | None, str]:
     if up is None:
         return None, ""
     parent, edge = up
-    while not is_admissible(parent):
+    while parent not in admissible:
         parent, label = _parse_parent(parent)
         edge = label + edge
     return parent, edge

@@ -152,6 +152,13 @@ LOCATOR_DIGEST = "c8b65134136d7dcf3477a714f143abefd76a06a07e1cad899b9f857afd8fa2
 LOCATOR_WORDS = 627
 LOCATOR_NOT_REALIZED = 61
 
+# the same digest over the 738 admissible cycle words at level 11, recorded
+# from the locator that read the orbit in prefixes of k+1, 2(k+1), ...
+# symbols up to the horizon
+LOCATOR_DIGEST_11 = "6feab04ba4c5ebf567e5fd965f337b1c33137be69478fcaf4874d29a4358c354"
+LOCATOR_WORDS_11 = 738
+LOCATOR_NOT_REALIZED_11 = 165
+
 # critical_frame(c).d0.hex(), from the eager bisection and Newton polish
 FREE_ROOT_HEX = {
     0.01: "-0x1.0082cf7514fccp+0",

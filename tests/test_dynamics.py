@@ -6,10 +6,14 @@ import pytest
 from frozen import (
     FREE_ROOT_HEX,
     LOCATOR_DIGEST,
+    LOCATOR_DIGEST_11,
     LOCATOR_NOT_REALIZED,
+    LOCATOR_NOT_REALIZED_11,
     LOCATOR_WORDS,
+    LOCATOR_WORDS_11,
     SUPERSTABLE,
 )
+import quintic_newton.dynamics as dynamics
 from quintic_newton.dynamics import (
     C0,
     ConvergedToRoot,
@@ -27,6 +31,7 @@ from quintic_newton.dynamics import (
     newton_derivative,
     newton_eval,
     nudge_off_poles,
+    orbit_symbols,
     symbol_stream,
     walk_orbit,
 )
@@ -103,10 +108,10 @@ def test_classify_letters_around_every_marked_point():
             assert critical_frame(c).classify(x) == eager(f, d0, x), (c, x)
 
 
-def test_locator_outcomes_are_pinned_at_levels_2_to_10():
-    # every c* bit and every error message, against the frozen digest
+def locator_outcomes(levels):
+    """(digest, words, not realized) over every c* bit and error message."""
     digest, words, not_realized = hashlib.sha256(), 0, 0
-    for level in range(2, 11):
+    for level in levels:
         for word in admissible_cycles(level):
             try:
                 outcome = find_superstable_parameter(word).hex()
@@ -115,9 +120,60 @@ def test_locator_outcomes_are_pinned_at_levels_2_to_10():
                 not_realized += "not realized" in outcome
             digest.update(f"{word} {outcome}\n".encode())
             words += 1
-    assert words == LOCATOR_WORDS
-    assert not_realized == LOCATOR_NOT_REALIZED
-    assert digest.hexdigest() == LOCATOR_DIGEST
+    return digest.hexdigest(), words, not_realized
+
+
+def test_locator_outcomes_are_pinned_at_levels_2_to_10():
+    assert locator_outcomes(range(2, 11)) == (
+        LOCATOR_DIGEST, LOCATOR_WORDS, LOCATOR_NOT_REALIZED)
+
+
+def test_locator_outcomes_are_pinned_at_level_11():
+    assert locator_outcomes([11]) == (
+        LOCATOR_DIGEST_11, LOCATOR_WORDS_11, LOCATOR_NOT_REALIZED_11)
+
+
+def count_newton_steps(monkeypatch, fn):
+    calls = [0]
+    step = dynamics.newton_step
+
+    def counted(*args):
+        calls[0] += 1
+        return step(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "newton_step", counted)
+        fn()
+    return calls[0]
+
+
+def test_locator_stops_each_walk_at_the_deciding_symbol(monkeypatch):
+    def locate_levels_2_to_8():
+        for level in range(2, 9):
+            for word in admissible_cycles(level):
+                try:
+                    find_superstable_parameter(word)
+                except ValueError:
+                    pass
+
+    # 72,270 steps when each comparison walked k+1, 2(k+1), ... points and
+    # re-walked the prefix it had already coded
+    assert count_newton_steps(monkeypatch, locate_levels_2_to_8) <= 50_489
+
+
+def test_orbit_symbols_steps_only_when_asked(monkeypatch):
+    c = SUPERSTABLE["RLRC"]
+    orbit = orbit_symbols(c, 0.0, 5)
+    assert count_newton_steps(monkeypatch, lambda: next(orbit)) == 0
+    assert count_newton_steps(monkeypatch, lambda: next(orbit)) == 1
+    # walk_orbit runs the walker to its end: n points, n steps, the one
+    # after the last point included; an absorbed or pole stop takes none
+    assert count_newton_steps(monkeypatch, lambda: walk_orbit(c, 0.0, 5)) == 5
+    assert count_newton_steps(monkeypatch, lambda: walk_orbit(2.0, -5.0, 10)) == 0
+    pole = (1.0 / 5.0) ** 0.25
+    assert list(orbit_symbols(1.0, pole, 10)) == [(pole, None)]
+    assert count_newton_steps(monkeypatch, lambda: walk_orbit(1.0, pole, 10)) == 0
+    assert walk_orbit(c, 0.0, 0) == ("", (), STOP_HORIZON)
 
 
 def test_superstable_parameters_match_frozen_values():

@@ -120,14 +120,28 @@ def test_char_poly_matches_the_dense_reference_on_every_window_matrix():
         assert char_poly(m) == dense_char_poly(m), word
 
 
+def companion(coeffs):
+    """The companion matrix of x^n + a_(n-1) x^(n-1) + ... + a_0, given
+    [a_(n-1), ..., a_0]: its det(I - t*C) is 1 + a_(n-1) t + ... + a_0 t^n."""
+    n = len(coeffs)
+    low = coeffs[::-1]
+    return tuple(tuple((j == i - 1) - (j == n - 1) * low[i] for j in range(n))
+                 for i in range(n))
+
+
 def test_char_poly_matches_the_dense_reference_on_random_matrices():
+    # every size from the empty matrix to 16, odd and even, so both halves
+    # of the split at h = ceil(n/2) are read
     rng = random.Random(0)
-    for n in range(1, 17):
+    for n in range(0, 17):
         for entries in ((0, 1), tuple(range(-3, 4))):
             for _ in range(3):
                 m = tuple(tuple(rng.choice(entries) for _ in range(n))
                           for _ in range(n))
                 assert char_poly(m) == dense_char_poly(m), m
+        coeffs = [rng.randint(-3, 3) for _ in range(n)]
+        m = companion(coeffs)
+        assert char_poly(m) == dense_char_poly(m) == IntPolynomial([1] + coeffs), n
 
 
 def test_char_poly_on_one_by_one_and_zero_matrices():
