@@ -37,22 +37,15 @@ from .kneading import (
 )
 from .dynamics import (
     C0,
-    ConvergedToRoot,
     CriticalFrame,
-    HitPole,
-    PeriodicOrbit,
     PoleError,
-    Truncated,
     critical_frame,
     critical_symbols,
-    family_value,
     find_superstable_parameter,
-    iterate_orbit,
-    newton_derivative,
     newton_eval,
     symbol_stream,
 )
-from .coding import KneadingData, itinerary, kneading_data
+from .coding import itinerary
 from .markov import (
     CurvePoint,
     EntropyResult,
@@ -91,11 +84,9 @@ __all__ = [
     "determinant_polynomial", "invariant_coordinate", "kneading_determinant",
     "kneading_increment", "kneading_numerator", "shape_split",
     "tree_polynomial_step",
-    "C0", "ConvergedToRoot", "CriticalFrame", "HitPole", "PeriodicOrbit",
-    "PoleError", "Truncated", "critical_frame", "critical_symbols",
-    "family_value", "find_superstable_parameter", "iterate_orbit",
-    "newton_derivative", "newton_eval", "symbol_stream",
-    "KneadingData", "itinerary", "kneading_data",
+    "C0", "CriticalFrame", "PoleError", "critical_frame", "critical_symbols",
+    "find_superstable_parameter", "newton_eval", "symbol_stream",
+    "itinerary",
     "CurvePoint", "EntropyResult", "MarkovPartition", "TransitionMatrix",
     "char_poly", "critical_orbit", "entropy_curve", "entropy_from_charpoly",
     "entropy_from_kneading", "entropy_point", "lap_growth_estimate",

@@ -4,11 +4,11 @@ For 0 < c < C0 the polynomial has a single real root and the Newton map on
 the real line is a piecewise-monotone map with two poles (the critical
 points of the polynomial) and one free critical point at zero.  This module
 provides the Newton step for any x^5 + a*x + b, the critical frame that cuts
-the line into the coding pieces, orbit iteration with outcome
-classification, the orbit layer every other module codes orbits with (one
-walker, the generator ``orbit_symbols``, which steps only when asked; one
-periodic-tail rule; one pole-nudge schedule), and the locator for
-parameters whose critical orbit closes up on a prescribed cycle word.
+the line into the coding pieces, the orbit layer every other module codes
+orbits with (one walker, the generator ``orbit_symbols``, which steps only
+when asked; one periodic-tail rule; one pole-nudge schedule), and the
+locator for parameters whose critical orbit closes up on a prescribed cycle
+word.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ def quintic_value(a: float, b: float, x: float) -> float:
         return math.copysign(math.inf, a * math.copysign(1.0, x))
 
 
-def newton_step(a: float, b: float, x: float, pole_tol: float = 1e-10) -> float:
+def newton_step(a: float, b: float, x: float) -> float:
     """One Newton step for x^5 + a*x + b, written as (4x^5 - b)/(5x^4 + a).
 
     For |x| > 1 the same fraction is evaluated in inverse powers of x,
@@ -59,38 +59,19 @@ def newton_step(a: float, b: float, x: float, pole_tol: float = 1e-10) -> float:
         raise ValueError(f"non-finite input a={a!r}, b={b!r}, x={x!r}")
     if abs(x) <= 1.0:
         den = 5.0 * x ** 4 + a
-        if abs(den) <= pole_tol:
+        if abs(den) <= POLE_TOL:
             raise PoleError(x)
         return (4.0 * x ** 5 - b) / den
     inv = 1.0 / x
     den = 5.0 + a * inv ** 4
-    if abs(den) <= pole_tol:
+    if abs(den) <= POLE_TOL:
         raise PoleError(x)
     return x * (4.0 - b * inv ** 5) / den
 
 
-def family_value(c: float, x: float) -> float:
-    """f_c(x) = x^5 - c*x + 1."""
-    return quintic_value(-c, 1.0, x)
-
-
-def newton_eval(c: float, x: float, pole_tol: float = 1e-10) -> float:
+def newton_eval(c: float, x: float) -> float:
     """One Newton step for f_c: (4x^5 - 1)/(5x^4 - c)."""
-    return newton_step(-c, 1.0, x, pole_tol)
-
-
-def newton_derivative(c: float, x: float, pole_tol: float = 1e-10) -> float:
-    """N'(x) = 20 x^3 f_c(x) / f_c'(x)^2; zero exactly at roots and at zero."""
-    if abs(x) <= 1.0:
-        den = 5.0 * x ** 4 - c
-        if abs(den) <= pole_tol:
-            raise PoleError(x)
-        return 20.0 * x ** 3 * family_value(c, x) / (den * den)
-    inv = 1.0 / x
-    den = 5.0 - c * inv ** 4
-    if abs(den) <= pole_tol:
-        raise PoleError(x)
-    return 20.0 * (1.0 - c * inv ** 4 + inv ** 5) / (den * den)
+    return newton_step(-c, 1.0, x)
 
 
 # ----------------------------------------------------------------------
@@ -157,91 +138,6 @@ def critical_frame(c: float) -> CriticalFrame:
 
 
 # ----------------------------------------------------------------------
-# orbit iteration
-# ----------------------------------------------------------------------
-
-class OrbitResult:
-    """Base class for orbit outcomes; match on the concrete type."""
-
-
-@dataclass(frozen=True)
-class ConvergedToRoot(OrbitResult):
-    root: float
-    iterations: int
-
-
-@dataclass(frozen=True)
-class PeriodicOrbit(OrbitResult):
-    period: int
-    phase: int
-    representative: float
-    iterations: int
-
-
-@dataclass(frozen=True)
-class HitPole(OrbitResult):
-    iteration: int
-    point: float
-
-
-@dataclass(frozen=True)
-class Truncated(OrbitResult):
-    iterations: int
-    last: float
-
-
-def iterate_orbit(c: float, x0: float, max_iter: int = 100_000,
-                  tol: float = 1e-12, pole_tol: float = 1e-10,
-                  period_cap: int = 64) -> OrbitResult:
-    """Iterate the Newton map and classify what the orbit does.
-
-    Convergence means |f_c(x)| < tol (Newton then contracts quadratically,
-    so the value test is the robust one).  Periodicity is the smallest lag
-    <= period_cap that matches within tol and survives a confirmation
-    window of three more laps without drift.
-    """
-    x = x0
-    history = [x]
-    for n in range(1, max_iter + 1):
-        try:
-            x = newton_eval(c, x, pole_tol)
-        except PoleError as exc:
-            return HitPole(n, exc.x)
-        if abs(family_value(c, x)) < tol:
-            root = x
-            for _ in range(4):
-                den = 5.0 * root ** 4 - c
-                if den == 0.0:
-                    break
-                root -= family_value(c, root) / den
-            return ConvergedToRoot(root, n)
-        scale = max(1.0, abs(x))
-        for lag in range(1, min(period_cap, len(history)) + 1):
-            if abs(x - history[-lag]) < tol * scale:
-                ok = True
-                y = x
-                seg = [x]
-                try:
-                    for _ in range(3 * lag):
-                        y = newton_eval(c, y, pole_tol)
-                        seg.append(y)
-                except PoleError:
-                    ok = False
-                if ok:
-                    for j in range(len(seg) - lag):
-                        if abs(seg[j + lag] - seg[j]) >= 10 * tol * max(1.0, abs(seg[j])):
-                            ok = False
-                            break
-                if ok:
-                    return PeriodicOrbit(lag, n % lag, x, n)
-                break  # failed confirmation: keep iterating, do not try longer lags now
-        history.append(x)
-        if len(history) > period_cap + 1:
-            del history[0]
-    return Truncated(max_iter, x)
-
-
-# ----------------------------------------------------------------------
 # orbit coding
 # ----------------------------------------------------------------------
 
@@ -253,6 +149,9 @@ STOP_HORIZON = "horizon"     # coded the requested number of points
 # at a lag of at most TAIL_MAX_PERIOD and at most half the coded length
 TAIL_TOL = 1e-9
 TAIL_MAX_PERIOD = 256
+
+# a Newton step whose denominator is this close to zero meets a pole
+POLE_TOL = 1e-10
 
 
 class OrbitCode(NamedTuple):
@@ -363,17 +262,17 @@ def nudge_off_poles(fn, c: float):
     return c, fn(c)
 
 
-def symbol_stream(c: float, x0: float, n: int, tol: float = 1e-10) -> str:
+def symbol_stream(c: float, x0: float, n: int) -> str:
     """First n symbols of the orbit of x0; PoleError when it meets a pole."""
-    code = walk_orbit(c, x0, n, tol)
+    code = walk_orbit(c, x0, n)
     if code.stop == STOP_POLE:
         raise code.pole_error()
     return code.symbols
 
 
-def critical_symbols(c: float, n: int, tol: float = 1e-10) -> str:
+def critical_symbols(c: float, n: int) -> str:
     """Symbols of the orbit of the free critical value N(0) = 1/c."""
-    return symbol_stream(c, newton_eval(c, 0.0), n, tol)
+    return symbol_stream(c, newton_eval(c, 0.0), n)
 
 
 # ----------------------------------------------------------------------

@@ -38,9 +38,9 @@ from .words import (
     TAIL_PERIODIC,
     TAIL_UNRESOLVED,
     WordError,
-    _parse_parent,
     as_word,
     generate_tree,
+    parse_parent,
 )
 
 # increment components; C never shows up in an increment
@@ -336,7 +336,7 @@ def cycle_polynomial(word, *,
     chain = []
     word = w.head
     while word not in known and word != "RC":
-        parent, edge = _parse_parent(word)
+        parent, edge = parse_parent(word)
         chain.append((word, edge))
         word = parent
     P = known.get(word, _ROOT_POLY)

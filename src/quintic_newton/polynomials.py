@@ -57,13 +57,6 @@ class IntPolynomial:
         return cls((1,))
 
     @classmethod
-    def t_power(cls, m: int, coeff: int = 1) -> "IntPolynomial":
-        """coeff * t^m"""
-        if m < 0:
-            raise ValueError("negative exponent")
-        return cls((coeff,)).shift(m)
-
-    @classmethod
     def one_minus_t_power(cls, m: int) -> "IntPolynomial":
         """1 - t^m"""
         if m < 1:

@@ -23,8 +23,8 @@ class BringJerrardQuintic:
     def value(self, x: float) -> float:
         return quintic_value(self.a, self.b, x)
 
-    def newton(self, x: float, pole_tol: float = 1e-10) -> float:
-        return newton_step(self.a, self.b, x, pole_tol)
+    def newton(self, x: float) -> float:
+        return newton_step(self.a, self.b, x)
 
 
 class Regime(enum.Enum):
@@ -67,10 +67,10 @@ class ReducedQuintic:
     def value(self, x: float) -> float:
         return quintic_value(*self._coefficients(), x)
 
-    def newton(self, x: float, pole_tol: float = 1e-10) -> float:
+    def newton(self, x: float) -> float:
         if self.kind == "p_zero":
             return 0.8 * x  # x^5 has a 0/0 at its root; the step is 4x/5
-        return newton_step(*self._coefficients(), x, pole_tol)
+        return newton_step(*self._coefficients(), x)
 
     @property
     def regime(self) -> Regime | None:

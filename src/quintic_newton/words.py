@@ -109,11 +109,6 @@ class SymbolWord:
         block = head[self.start:]
         return (head + block * ((n - len(head)) // len(block) + 1))[:n]
 
-    def symbol_at(self, i: int) -> str | None:
-        """Symbol at position i, or None when past an unresolved head."""
-        p = self.prefix(i + 1)
-        return p[i] if i < len(p) else None
-
     def shift(self, n: int = 1) -> "SymbolWord":
         """Drop the first n symbols (the shift map applied n times)."""
         if n < 0:
@@ -308,8 +303,9 @@ class TreeNode:
     edge: str = ""
 
 
-def parse_parent(word) -> tuple[str, str] | None:
-    """Structural parent of a cycle word under the suffix parsing.
+def parse_parent(word: str) -> tuple[str, str] | None:
+    """Structural parent of a cycle word, given as its plain string, under
+    the suffix parsing.
 
     Every interior over {L, M, R} that can close into a cycle ends in R,
     and the two letters before the closing C decide the unique edge:
@@ -317,14 +313,6 @@ def parse_parent(word) -> tuple[str, str] | None:
     ``...LRC`` drops both.  Returns (parent_word, edge_label), the parent
     as a plain cycle string, or None for the root ``RC``.
     """
-    w = as_word(word)
-    if not w.is_cycle():
-        raise WordError(f"not a cycle word: {word!r}")
-    return _parse_parent(w.head)
-
-
-def _parse_parent(word: str) -> tuple[str, str] | None:
-    """parse_parent on the plain string of a word ending in C."""
     u = word[:-1]
     if u == "R":
         return None
@@ -393,11 +381,11 @@ def _nearest_admissible_ancestor(word: str, admissible: set[str]) -> tuple[str |
     one label per parsing step, so a chain through a non-admissible
     intermediate shows up as a multi-letter edge.
     """
-    up = _parse_parent(word)
+    up = parse_parent(word)
     if up is None:
         return None, ""
     parent, edge = up
     while parent not in admissible:
-        parent, label = _parse_parent(parent)
+        parent, label = parse_parent(parent)
         edge = label + edge
     return parent, edge

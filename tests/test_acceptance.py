@@ -12,9 +12,9 @@ import time
 from frozen import RLRC_MATRIX, TRIBONACCI
 from quintic_newton.dynamics import (
     C0,
-    family_value,
     find_superstable_parameter,
     newton_eval,
+    quintic_value,
 )
 from quintic_newton.kneading import (
     cycle_polynomial,
@@ -163,7 +163,7 @@ def test_criterion_10_regime_convergence():
 
     def converges(c, x, max_iter=500, tol=1e-10):
         for _ in range(max_iter):
-            if abs(family_value(c, x)) < tol:
+            if abs(quintic_value(-c, 1.0, x)) < tol:
                 return x
             try:
                 x = newton_eval(c, x)

@@ -1,7 +1,9 @@
+import math
+
 import pytest
 
 from frozen import SUPERSTABLE
-from quintic_newton.coding import KneadingData, itinerary, kneading_data
+from quintic_newton.coding import itinerary
 from quintic_newton.dynamics import PoleError, find_superstable_parameter
 from quintic_newton.markov import entropy_point
 from quintic_newton.words import (
@@ -55,19 +57,11 @@ def test_itinerary_raises_on_pole_start():
         itinerary(1.0, pole, 10)
 
 
-def test_kneading_data_universal_rows():
-    c = SUPERSTABLE["RLRC"]
-    kd = kneading_data(c)
-    assert isinstance(kd, KneadingData)
-    assert kd.U == SymbolWord("A", TAIL_A_INF)
-    assert kd.X == SymbolWord("R", TAIL_PERIODIC, 0)
-    assert kd.Z == SymbolWord("A", TAIL_A_INF)
-    assert str(kd.Y) == "(RLRC)^"
-    assert kd.period == 4
-
-
-def test_kneading_data_shifts_off_the_leading_c():
-    c = find_superstable_parameter("RC")
-    kd = kneading_data(c)
-    assert str(kd.Y) == "(RC)^"
-    assert kd.period == 2
+def test_itinerary_of_a_non_finite_start():
+    # nan and +inf read R and then fail the step's finiteness guard, even
+    # when that step only follows the last coded point; -inf is absorbed
+    for n in (1, 3):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                itinerary(1.0, bad, n)
+        assert itinerary(1.0, -math.inf, n) == SymbolWord("A", TAIL_A_INF)

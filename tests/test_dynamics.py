@@ -16,22 +16,18 @@ from frozen import (
 import quintic_newton.dynamics as dynamics
 from quintic_newton.dynamics import (
     C0,
-    ConvergedToRoot,
-    HitPole,
-    PeriodicOrbit,
     PoleError,
     critical_frame,
     STOP_ABSORBED,
     STOP_HORIZON,
     STOP_POLE,
     critical_symbols,
-    family_value,
     find_superstable_parameter,
-    iterate_orbit,
-    newton_derivative,
     newton_eval,
+    newton_step,
     nudge_off_poles,
     orbit_symbols,
+    quintic_value,
     symbol_stream,
     walk_orbit,
 )
@@ -46,9 +42,17 @@ def test_band_constant():
 def test_newton_eval_fixed_points_are_roots():
     # x = 1 solves x^5 - 2x + 1 = 0 and is fixed under the map
     assert abs(newton_eval(2.0, 1.0) - 1.0) < 1e-14
-    assert abs(family_value(2.0, 1.0)) < 1e-14
-    # superattracting: derivative vanishes at the root
-    assert abs(newton_derivative(2.0, 1.0)) < 1e-12
+    assert abs(quintic_value(-2.0, 1.0, 1.0)) < 1e-14
+    # superattracting: a step of h off the root lands O(h^2) from it
+    for h in (1e-4, -1e-4):
+        assert abs(newton_eval(2.0, 1.0 + h) - 1.0) < 1e-6
+
+
+def test_newton_step_rejects_non_finite_input():
+    for bad in (math.nan, math.inf, -math.inf):
+        for args in ((bad, 1.0, 0.5), (-1.0, bad, 0.5), (-1.0, 1.0, bad)):
+            with pytest.raises(ValueError, match="non-finite"):
+                newton_step(*args)
 
 
 def test_newton_eval_raises_on_pole():
@@ -61,7 +65,7 @@ def test_newton_eval_raises_on_pole():
 def test_critical_frame_structure():
     f = critical_frame(1.0)
     assert f.d0 < f.d1 < f.d2 == 0.0 < f.d3
-    assert abs(family_value(1.0, f.d0)) < 1e-10
+    assert abs(quintic_value(-1.0, 1.0, f.d0)) < 1e-10
     assert abs(f.d3 - 0.2 ** 0.25) < 1e-12
     assert f.d1 == -f.d3
     assert f.classify(f.d0 - 1.0) == "A"
@@ -197,26 +201,6 @@ def test_superstable_rejects_inadmissible_and_empty_brackets():
 def test_superstable_with_explicit_bracket():
     c = find_superstable_parameter("RLRC", bracket=(1.33, 1.34))
     assert abs(c - SUPERSTABLE["RLRC"]) < 1e-9
-
-
-def test_orbit_converges_for_negative_c():
-    res = iterate_orbit(-1.0, 0.3)
-    assert isinstance(res, ConvergedToRoot)
-    assert abs(family_value(-1.0, res.root)) < 1e-10
-
-
-def test_orbit_detects_superstable_cycle():
-    res = iterate_orbit(SUPERSTABLE["RC"], 1e-9)
-    assert isinstance(res, PeriodicOrbit)
-    assert res.period == 2
-
-
-def test_orbit_reports_pole_hits():
-    c = 1.0
-    pole = (c / 5.0) ** 0.25
-    res = iterate_orbit(c, pole)
-    assert isinstance(res, HitPole)
-    assert res.iteration == 1 and res.point == pole
 
 
 def test_symbol_streams():

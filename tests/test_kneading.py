@@ -24,9 +24,9 @@ from quintic_newton.words import (
     SymbolWord,
     TAIL_A_INF,
     TAIL_PERIODIC,
-    _parse_parent,
     admissible_convergents,
     admissible_cycles,
+    parse_parent,
 )
 
 
@@ -160,7 +160,7 @@ def _cycle_chain(word):
     """A cycle word and every parse ancestor below the root RC."""
     while word != "RC":
         yield word
-        word = _parse_parent(word)[0]
+        word = parse_parent(word)[0]
 
 
 def test_polynomial_tree_takes_one_step_per_word(monkeypatch):

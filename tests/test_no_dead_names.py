@@ -1,0 +1,74 @@
+"""Every function, class and public method in the package has a caller.
+
+A name counts as used when code in ``src/`` or ``perfbench/`` refers to it
+outside its own definition, as a bare name, as an attribute, or through an
+``import ... as`` alias.  Re-exports in ``__init__.py`` and calls from
+tests do not count, so an API kept alive only by its own tests shows up
+here.
+"""
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "quintic_newton"
+CALLER_DIRS = (PACKAGE, ROOT / "perfbench")
+
+# names only tests call, kept because tests compare against them
+TEST_ORACLES = {
+    # the normal form the frozen PERIODIC_NUMERATORS table is written in
+    "polynomials.RationalFunctionInT.reduce",
+}
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node) for each top-level def/class and public method."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs[:2]) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often each name is read in tree, an alias counting for its target."""
+    found: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias) and node.asname:
+            found[node.name] += 1
+    return found
+
+
+def _parsed(directory: Path):
+    for path in sorted(directory.glob("*.py")):
+        if path.name != "__init__.py":
+            yield path, ast.parse(path.read_text(), str(path))
+
+
+def _test_only_names() -> set[str]:
+    used: Counter = Counter()
+    for directory in CALLER_DIRS:
+        for _, tree in _parsed(directory):
+            used += _references(tree)
+    dead = set()
+    for path, tree in _parsed(PACKAGE):
+        for qualname, node in _definitions(tree):
+            name = qualname.rsplit(".", 1)[-1]
+            if used[name] - _references(node)[name] <= 0:
+                dead.add(f"{path.stem}.{qualname}")
+    return dead
+
+
+def test_every_name_in_the_package_is_used():
+    dead = _test_only_names()
+    assert not dead - TEST_ORACLES, \
+        "defined but never used outside tests: " + ", ".join(sorted(dead - TEST_ORACLES))
+    # an oracle that gains a caller in the package comes off the list
+    assert TEST_ORACLES <= dead, sorted(TEST_ORACLES - dead)

@@ -60,11 +60,12 @@ def test_shift_rotates_the_periodic_block():
     assert str(y) == "(RLRC)^"
 
 
-def test_symbol_at_walks_head_then_tail():
+def test_prefix_walks_head_then_tail():
     w = SymbolWord("MRRC", TAIL_PERIODIC, 1)   # M then (RRC)^inf
-    assert [w.symbol_at(i) for i in range(7)] == list("MRRCRRC")
-    a = SymbolWord("RRA", TAIL_A_INF)
-    assert [a.symbol_at(i) for i in range(5)] == list("RRAAA")
+    assert w.prefix(7) == "MRRCRRC"
+    assert SymbolWord("RRA", TAIL_A_INF).prefix(5) == "RRAAA"
+    # an unresolved head ends where the produced symbols end
+    assert SymbolWord("RLM").prefix(5) == "RLM"
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +182,7 @@ def test_every_form_of_a_word_gets_one_answer():
     cycle = ["RLRC", "(RLRC)^", SymbolWord("RLRC", TAIL_PERIODIC, 0)]
     convergent = ["RRA", "RRA^inf", SymbolWord("RRA", TAIL_A_INF)]
     # with the tree's suffix edits that take each kind
-    for forms, edits in ((cycle, (cycle_polynomial, parse_parent)),
+    for forms, edits in ((cycle, (cycle_polynomial,)),
                          (convergent, (convergent_polynomial,))):
         first = forms[0]
         for w in forms:
@@ -251,7 +252,6 @@ def test_parse_parent_edges():
     assert parse_parent("MRC") == ("RC", "M")
     assert parse_parent("RLRC") == ("RC", "L")
     assert parse_parent("MMRC") == ("MRC", "M")
-    assert parse_parent("(RRC)^") == ("RC", "R")
     with pytest.raises(WordError):
         parse_parent("RBC")
 
