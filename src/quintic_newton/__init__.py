@@ -42,10 +42,9 @@ from .dynamics import (
     critical_frame,
     critical_symbols,
     find_superstable_parameter,
+    itinerary,
     newton_eval,
-    symbol_stream,
 )
-from .coding import itinerary
 from .markov import (
     CurvePoint,
     EntropyResult,
@@ -85,8 +84,7 @@ __all__ = [
     "kneading_increment", "kneading_numerator", "shape_split",
     "tree_polynomial_step",
     "C0", "CriticalFrame", "PoleError", "critical_frame", "critical_symbols",
-    "find_superstable_parameter", "newton_eval", "symbol_stream",
-    "itinerary",
+    "find_superstable_parameter", "itinerary", "newton_eval",
     "CurvePoint", "EntropyResult", "MarkovPartition", "TransitionMatrix",
     "char_poly", "critical_orbit", "entropy_curve", "entropy_from_charpoly",
     "entropy_from_kneading", "entropy_point", "lap_growth_estimate",

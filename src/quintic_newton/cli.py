@@ -18,9 +18,9 @@ import random
 import sys
 
 from . import __version__
-from .coding import itinerary as orbit_itinerary
 from .dynamics import (
     find_superstable_parameter,
+    itinerary,
     nudge_off_poles,
     orbit_points,
 )
@@ -110,7 +110,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_itinerary(args: argparse.Namespace) -> int:
-    word = orbit_itinerary(args.c, args.x0, args.length, tol=args.tol)
+    word = itinerary(args.c, args.x0, args.length, tol=args.tol)
     lines = [str(word), f"tail = {word.tail}"]
     if word.tail == TAIL_PERIODIC:
         lines.append(f"period = {word.period}")
@@ -260,7 +260,7 @@ def _suite_entropy_routes() -> list[tuple[str, bool, str]]:
     tm = transition_matrix(part)
     r_char = entropy_from_charpoly(char_poly(tm))
     r_knead = entropy_from_kneading("RLRC")
-    r_lap = lap_growth_estimate(c, k_max=20)
+    r_lap = lap_growth_estimate(tm)
     d1 = abs(r_char.t_star - r_knead.t_star)
     d2 = abs(r_lap.h - r_knead.h) / r_knead.h
     return [

@@ -6,9 +6,10 @@ points of the polynomial) and one free critical point at zero.  This module
 provides the Newton step for any x^5 + a*x + b, the critical frame that cuts
 the line into the coding pieces, the orbit layer every other module codes
 orbits with (one walker, the generator ``orbit_symbols``, which steps only
-when asked; one periodic-tail rule; one pole-nudge schedule), and the
-locator for parameters whose critical orbit closes up on a prescribed cycle
-word.
+when asked, so n points cost n - 1 steps; one periodic-tail rule; one
+reader, ``OrbitCode.word``, that turns a walk into the word ``itinerary``
+returns; one pole-nudge schedule), and the locator for parameters whose
+critical orbit closes up on a prescribed cycle word.
 """
 from __future__ import annotations
 
@@ -17,7 +18,15 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .words import _signed_compare, as_word, is_admissible
+from .words import (
+    SymbolWord,
+    TAIL_A_INF,
+    TAIL_PERIODIC,
+    TAIL_UNRESOLVED,
+    _signed_compare,
+    as_word,
+    is_admissible,
+)
 
 # Parameter where the right local minimum of x^5 - c*x + 1 touches the axis:
 # above it the polynomial has three real roots, below it one.
@@ -169,6 +178,20 @@ class OrbitCode(NamedTuple):
         """The error to raise for a walk that stopped at a pole."""
         return PoleError(self.points[-1], len(self.symbols))
 
+    def word(self) -> SymbolWord:
+        """The walk as a word: an absorbed walk runs on in A forever (an A
+        follows a closing B), a tail that ``tail_period`` finds periodic
+        repeats, and anything else, a pole stop included, is an unresolved
+        head."""
+        syms = self.symbols
+        if self.stop == STOP_ABSORBED:
+            return SymbolWord(syms if syms[-1] == "A" else syms + "A", TAIL_A_INF)
+        s_p = tail_period(self)
+        if s_p is not None:
+            s, p = s_p
+            return SymbolWord(syms[: s + p], TAIL_PERIODIC, s)
+        return SymbolWord(syms, TAIL_UNRESOLVED)
+
 
 def orbit_symbols(c: float, x0: float, n: int,
                   tol: float = 1e-10) -> Iterator[tuple[float, str | None]]:
@@ -179,13 +202,18 @@ def orbit_symbols(c: float, x0: float, n: int,
     within tol of zero reads C and the orbit continues; A or B ends the
     walk after its symbol; a point within tol of a pole yields the symbol
     None and ends the walk.  A Newton step that itself meets a pole raises
-    PoleError.
+    PoleError.  A start of nan or +inf, which the frame would read as R,
+    raises the step's ValueError even when no step follows.
     """
     frame = critical_frame(c)
     d1, d3, a = frame.d1, frame.d3, -c
+    if math.isnan(x0) or x0 == math.inf:
+        newton_step(a, 1.0, x0)
     classify = frame.classify
     x = x0
-    for _ in range(n):
+    for i in range(n):
+        if i:
+            x = newton_step(a, 1.0, x)
         if abs(x - d1) <= tol or abs(x - d3) <= tol:
             yield x, None
             return
@@ -193,15 +221,10 @@ def orbit_symbols(c: float, x0: float, n: int,
         yield x, s
         if s in ("A", "B"):
             return
-        x = newton_step(a, 1.0, x)
 
 
 def walk_orbit(c: float, x0: float, n: int, tol: float = 1e-10) -> OrbitCode:
-    """Code the orbit of x0 for at most n points, with the reason it stopped.
-
-    The walk runs ``orbit_symbols`` to its end, so it also takes the Newton
-    step after the n-th point.
-    """
+    """Code the orbit of x0 for at most n points, with the reason it stopped."""
     syms: list[str] = []
     xs: list[float] = []
     stop = STOP_HORIZON
@@ -262,17 +285,28 @@ def nudge_off_poles(fn, c: float):
     return c, fn(c)
 
 
-def symbol_stream(c: float, x0: float, n: int) -> str:
-    """First n symbols of the orbit of x0; PoleError when it meets a pole."""
-    code = walk_orbit(c, x0, n)
+def itinerary(c: float, x0: float, length: int, tol: float = 1e-10) -> SymbolWord:
+    """Symbolic itinerary of the orbit of x0 under the Newton map.
+
+    A point within tol of zero reads C; within tol of a pole the itinerary
+    is undefined and PoleError is raised.  The walk of ``length`` points
+    becomes a word by ``OrbitCode.word``.
+    """
+    if length < 1:
+        raise ValueError("length must be positive")
+    code = walk_orbit(c, x0, length, tol)
     if code.stop == STOP_POLE:
         raise code.pole_error()
-    return code.symbols
+    return code.word()
 
 
 def critical_symbols(c: float, n: int) -> str:
-    """Symbols of the orbit of the free critical value N(0) = 1/c."""
-    return symbol_stream(c, newton_eval(c, 0.0), n)
+    """First n symbols of the orbit of the free critical value N(0) = 1/c;
+    PoleError when it meets a pole."""
+    code = walk_orbit(c, newton_eval(c, 0.0), n)
+    if code.stop == STOP_POLE:
+        raise code.pole_error()
+    return code.symbols
 
 
 # ----------------------------------------------------------------------

@@ -293,8 +293,7 @@ def _attach(p: IntPolynomial, k: int, delta: int,
     return IntPolynomial._trusted(cs)
 
 
-def tree_polynomial_step(d_k: IntPolynomial, k: int, branch: str,
-                         delta: int | None = None) -> IntPolynomial:
+def tree_polynomial_step(d_k: IntPolynomial, k: int, branch: str) -> IntPolynomial:
     """One branch step of the cycle-polynomial recursion.
 
     ``d_k`` is the cleared polynomial of a length-k cycle word (the form
@@ -306,8 +305,6 @@ def tree_polynomial_step(d_k: IntPolynomial, k: int, branch: str,
     used to assemble longer cycles.
     """
     p, d = shape_split(d_k, k)
-    if delta is not None and delta != d:
-        raise StructureError(f"claimed delta {delta} but split gives {d}")
     if branch not in _STEP_TAILS:
         raise ValueError(f"unknown branch {branch!r}")
     return _attach(p, k, d, _STEP_TAILS[branch])

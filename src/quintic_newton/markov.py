@@ -6,9 +6,10 @@ the line into intervals that map onto unions of each other; the growth rate
 of the resulting 0/1 transition matrix is one route to the topological
 entropy.  The kneading determinant gives a second, exact route, and lap
 counting through powers of the matrix a third.  ``entropy_curve`` walks a
-parameter grid using the kneading route, resolving each sampled orbit to a
-closed symbolic form when it can and falling back to a truncated series
-whose tail is provably below the working tolerance.
+parameter grid using the kneading route: a critical orbit that closes up is
+read as its cycle word, any other walk becomes a word by the orbit layer's
+one reader, ``OrbitCode.word``, and a word it leaves unresolved falls back
+to a truncated series whose tail is provably below the working tolerance.
 """
 from __future__ import annotations
 
@@ -17,25 +18,33 @@ import operator
 from dataclasses import dataclass
 
 from .dynamics import (
-    STOP_ABSORBED,
     STOP_POLE,
     critical_frame,
     newton_eval,
     nudge_off_poles,
     orbit_points,
-    tail_period,
     walk_orbit,
 )
 from .kneading import kneading_numerator
 # unused here; perfbench/tracing.py interposes on these names in this module
 from .kneading import determinant_polynomial, kneading_determinant  # noqa: F401
 from .polynomials import IntPolynomial, smallest_root_in
-from .words import SymbolWord, TAIL_PERIODIC
+from .words import TAIL_UNRESOLVED
 
 # entropy lives in [0, log(1+sqrt(2))]; the smallest admissible root of the
 # entropy polynomials is sqrt(2)-1, searched with a hair of margin
 BAND_ROOT_LO = math.sqrt(2.0) - 1.0
 ENTROPY_MAX = math.log(1.0 + math.sqrt(2.0))
+
+# the critical orbit of a cycle parameter returns within RETURN_TOL of zero
+# in at most CRITICAL_PERIOD_CAP steps; partition points closer than
+# COLLISION_TOL to a marked point or to each other collide
+CRITICAL_PERIOD_CAP = 64
+RETURN_TOL = 1e-6
+COLLISION_TOL = 1e-9
+ONE_SIDED_STEP = 1e-9   # Richardson steps h, 2h for one-sided image limits
+LAP_STEPS = 20          # lap growth: the ratio of path counts through M^20, M^19
+MAX_HORIZON = 4096      # the series horizon doubles up to this
 
 
 @dataclass(frozen=True)
@@ -51,8 +60,8 @@ def _result_from_root(t_star: float | None, method: str) -> EntropyResult:
     return EntropyResult(t_star, max(0.0, -math.log(t_star)), method)
 
 
-def _band_root(f, tol: float = 1e-13) -> float | None:
-    return smallest_root_in(f, BAND_ROOT_LO - 1e-9, 1.0, tol=tol)
+def _band_root(f) -> float | None:
+    return smallest_root_in(f, BAND_ROOT_LO - 1e-9, 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -76,22 +85,20 @@ class TransitionMatrix:
         return len(self.matrix)
 
 
-def critical_orbit(c: float, period_cap: int = 64,
-                   return_tol: float = 1e-6) -> list[float]:
+def critical_orbit(c: float) -> list[float]:
     """The periodic critical orbit [0, N(0), ...] at a cycle parameter.
 
     Raises ValueError when the orbit fails to return to zero within the
     cap — the partition construction only makes sense on a closed orbit.
     """
-    pts = orbit_points(c, 0.0, period_cap + 1)
+    pts = orbit_points(c, 0.0, CRITICAL_PERIOD_CAP + 1)
     for i in range(1, len(pts)):
-        if abs(pts[i]) <= return_tol:
+        if abs(pts[i]) <= RETURN_TOL:
             return pts[:i]
     raise ValueError(f"critical orbit does not close up at c={c!r}")
 
 
-def markov_partition(c: float, orbit: list[float] | None = None,
-                     tol: float = 1e-9) -> MarkovPartition:
+def markov_partition(c: float) -> MarkovPartition:
     """Cut the line along the marked points and the critical orbit.
 
     The piece between the free root and the left pole is transient — no
@@ -99,16 +106,16 @@ def markov_partition(c: float, orbit: list[float] | None = None,
     out of the state set.
     """
     frame = critical_frame(c)
-    pts = critical_orbit(c) if orbit is None else [float(p) for p in orbit]
+    pts = critical_orbit(c)
     marked = [frame.d0, frame.d1, frame.d3]
     for p in pts:
         for m in marked:
-            if abs(p - m) < tol:
+            if abs(p - m) < COLLISION_TOL:
                 raise ValueError(
                     f"orbit point {p!r} collides with a marked point {m!r}")
     for i, p in enumerate(pts):
         for q in pts[:i]:
-            if abs(p - q) < tol:
+            if abs(p - q) < COLLISION_TOL:
                 raise ValueError(f"degenerate orbit: {p!r} repeats")
         if frame.d0 < p < frame.d1:
             raise ValueError(
@@ -126,8 +133,7 @@ def markov_partition(c: float, orbit: list[float] | None = None,
     return MarkovPartition(c, tuple(boundaries), tuple(intervals))
 
 
-def transition_matrix(partition: MarkovPartition,
-                      inner: float = 1e-9) -> TransitionMatrix:
+def transition_matrix(partition: MarkovPartition) -> TransitionMatrix:
     """0/1 matrix: does the open image of interval i cover part of j?
 
     The map is monotone on each interval (all turning and blow-up points
@@ -147,8 +153,8 @@ def transition_matrix(partition: MarkovPartition,
         s = 1.0 if from_right else -1.0
         # one-sided limit by Richardson step: cancels the O(|N'| h) skew,
         # which near a pole-adjacent boundary would exceed the snap window
-        v1 = newton_eval(c, x + s * inner)
-        v2 = newton_eval(c, x + s * 2.0 * inner)
+        v1 = newton_eval(c, x + s * ONE_SIDED_STEP)
+        v2 = newton_eval(c, x + s * 2.0 * ONE_SIDED_STEP)
         return 2.0 * v1 - v2
 
     def snap(v: float) -> float:
@@ -226,30 +232,27 @@ def char_poly(tm: TransitionMatrix | tuple[tuple[int, ...], ...]) -> IntPolynomi
     return IntPolynomial([(-1) ** j * ej for j, ej in enumerate(e)])
 
 
-def entropy_from_charpoly(p: IntPolynomial, tol: float = 1e-13) -> EntropyResult:
+def entropy_from_charpoly(p: IntPolynomial) -> EntropyResult:
     """Entropy from the smallest band root of det(I - t*M)."""
-    return _result_from_root(_band_root(p, tol), "charpoly")
+    return _result_from_root(_band_root(p), "charpoly")
 
 
-def entropy_from_kneading(word, tol: float = 1e-13) -> EntropyResult:
+def entropy_from_kneading(word) -> EntropyResult:
     """Entropy from the kneading numerator of a kneading word.
 
     Accepts any form ``words.as_word`` reads with a resolved tail (periodic
     tails included, so window-interior sequences work too)."""
-    return _result_from_root(_band_root(kneading_numerator(word), tol), "kneading")
+    return _result_from_root(_band_root(kneading_numerator(word)), "kneading")
 
 
-def lap_growth_estimate(c: float, k_max: int = 20) -> EntropyResult:
+def lap_growth_estimate(tm: TransitionMatrix) -> EntropyResult:
     """Entropy from the growth of path counts through the transition matrix.
 
     The total number of admissible k-step itineraries grows like the
-    spectral radius; the ratio of consecutive totals converges to it
-    geometrically (much faster than the k-th root does).
+    spectral radius; the ratio of consecutive totals, here at k = LAP_STEPS,
+    converges to it geometrically (much faster than the k-th root does).
     """
-    if k_max < 2:
-        raise ValueError("k_max must be at least 2")
-    tm = transition_matrix(markov_partition(c))
-    totals = [sum(map(sum, P)) for P in _matrix_powers(tm.matrix, k_max)]
+    totals = [sum(map(sum, P)) for P in _matrix_powers(tm.matrix, LAP_STEPS)]
     ratio = totals[-1] / totals[-2]
     return EntropyResult(1.0 / ratio, math.log(ratio), "lap-growth")
 
@@ -267,7 +270,7 @@ class CurvePoint:
     period: int
 
 
-def _series_root(syms: str, tol: float = 1e-13) -> float | None:
+def _series_root(syms: str) -> float | None:
     """Smallest band root of the kneading series truncated after ``syms``.
 
     A weighs nothing in the series, so closing the head with A truncates
@@ -275,23 +278,23 @@ def _series_root(syms: str, tol: float = 1e-13) -> float | None:
     below 2 t^(H+1) / (1 - t), which the caller checks against the root.
     """
     return smallest_root_in(kneading_numerator(syms + "A"),
-                            BAND_ROOT_LO - 1e-9, 1.0 - 1e-9, tol=tol)
+                            BAND_ROOT_LO - 1e-9, 1.0 - 1e-9)
 
 
-def entropy_point(c: float, horizon: int = 64, max_horizon: int = 4096) -> CurvePoint:
+def entropy_point(c: float, horizon: int = 64) -> CurvePoint:
     """Entropy at a single parameter through the kneading route.
 
     Orbits that close up, fall into the absorbing run, or settle on a
     periodic tail within the horizon get the exact polynomial treatment;
-    anything else gets the truncated series, with the horizon grown until
-    the series tail is negligible at the root found.  A pole within the
-    first 24 points moves c by the shared nudge schedule; a later one
-    truncates the series there.
+    anything else gets the truncated series, with the horizon grown, up to
+    MAX_HORIZON, until the series tail is negligible at the root found.  A
+    pole within the first 24 points moves c by the shared nudge schedule;
+    a later one truncates the series there.
     """
-    return nudge_off_poles(lambda c: _entropy_at(c, horizon, max_horizon), c)[1]
+    return nudge_off_poles(lambda c: _entropy_at(c, horizon), c)[1]
 
 
-def _entropy_at(c: float, H: int, max_horizon: int) -> CurvePoint:
+def _entropy_at(c: float, H: int) -> CurvePoint:
     while True:
         code = walk_orbit(c, newton_eval(c, 0.0), H)
         syms = code.symbols
@@ -302,21 +305,16 @@ def _entropy_at(c: float, H: int, max_horizon: int) -> CurvePoint:
             return _curve_point(c, root, "kneading", len(word))
         if code.stop == STOP_POLE and len(syms) < 24:
             raise code.pole_error()
-        if code.stop == STOP_ABSORBED:
-            root = _band_root(kneading_numerator(syms[:-1] + "A"))
-            return _curve_point(c, root, "kneading", 0)
-        s_p = tail_period(code)
-        if s_p is not None:
-            s, p = s_p
-            Y = SymbolWord(syms[: s + p], TAIL_PERIODIC, s)
-            root = _band_root(kneading_numerator(Y))
-            return _curve_point(c, root, "kneading", p)
+        word = code.word()
+        if word.tail != TAIL_UNRESOLVED:
+            root = _band_root(kneading_numerator(word))
+            return _curve_point(c, root, "kneading", word.period or 0)
         root = _series_root(syms)
         t_hat = root if root is not None else 1.0 - 1e-9
         tail = 2.0 * t_hat ** (len(syms) + 1) / max(1e-9, 1.0 - t_hat)
-        if tail < 1e-12 or H >= max_horizon or code.stop == STOP_POLE:
+        if tail < 1e-12 or H >= MAX_HORIZON or code.stop == STOP_POLE:
             return _curve_point(c, root, "kneading-series", 0)
-        H = min(max_horizon, 2 * H)
+        H = min(MAX_HORIZON, 2 * H)
 
 
 def _curve_point(c: float, root: float | None, method: str, period: int) -> CurvePoint:

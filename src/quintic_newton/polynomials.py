@@ -248,14 +248,9 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def evaluate_exact(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def sign_at(self, x: float) -> int:
-        """The exact sign of self at the float x, in integer arithmetic."""
+    def sign_at(self, x: float | Fraction) -> int:
+        """The exact sign of self at the float or Fraction x, in integer
+        arithmetic."""
         num, den = x.as_integer_ratio()
         acc, scale = 0, 1
         for c in reversed(self.coeffs):
@@ -331,23 +326,24 @@ _GRID_CELLS = 4096
 # root or clear the interval take a few dozen evaluations.
 _MIN_CELL = 1e-12
 _WALK_BUDGET = 256
+# how close a reported zero is to the true one
+ROOT_TOL = 1e-13
 
 
-def smallest_root_in(poly: IntPolynomial, lo: float, hi: float,
-                     tol: float = 1e-13) -> float | None:
-    """Smallest zero of poly in [lo, hi] (0 <= lo < hi) to within tol, or
-    None when there is none; the zero polynomial gives lo.
+def smallest_root_in(poly: IntPolynomial, lo: float, hi: float) -> float | None:
+    """Smallest zero of poly in [lo, hi] (0 <= lo < hi) to within ROOT_TOL,
+    or None when there is none; the zero polynomial gives lo.
 
     Every answer is certified.  An exclusion walk from lo proves poly free
     of zeros on [lo, a] and proves exactly one zero in (a, b); for the
     Milnor-Thurston determinant D(t) that is the statement D(t) > 0 on
     [0, t*).  The zero is bisected in floating point from the cell of the
     grid lo + (hi - lo) * i / 4096 that holds (a, b), and that value t is
-    kept when exact signs at t - tol and t + tol bracket the zero;
+    kept when exact signs at t - ROOT_TOL and t + ROOT_TOL bracket the zero;
     otherwise (a, b) is bisected in exact arithmetic.  Where floating
     point cannot decide a cell (a double root, two roots closer than the
     rounding), the rest of [lo, hi] is decided exactly: Sturm counts of the
-    square-free part over Fraction, bisected down to tol.  Bounds exact
+    square-free part, bisected down to ROOT_TOL.  Bounds exact
     arithmetic cannot represent raise ValueError; nothing is guessed.
     """
     if not 0.0 <= lo < hi < math.inf:
@@ -359,26 +355,26 @@ def smallest_root_in(poly: IntPolynomial, lo: float, hi: float,
     if kind == "clear":
         return None
     if kind == "stall":
-        return _smallest_root_exact(poly, a, hi, tol)
+        return _smallest_root_exact(poly, a, hi)
     f = poly.evaluate
     i = walk.next_index(a)
     if i <= _GRID_CELLS:
         left, right = walk.grid_point(i - 1), walk.grid_point(i)
         fl, fr = f(left), f(right)
         if fl != 0.0 and fr != 0.0 and (fl < 0) == (sign < 0) != (fr < 0):
-            t = _bisect(f, left, right, fl, tol)
-            below, above = t - tol, t + tol
+            t = _bisect(f, left, right, fl)
+            below, above = t - ROOT_TOL, t + ROOT_TOL
             # exact signs put the one zero of (a, b) inside (below, above)
             if below <= b and (below <= a or poly.sign_at(below) == sign) \
                     and (above >= b or poly.sign_at(above) == -sign):
                 return t
-    return _bisect(poly.evaluate_exact, Fraction(a), Fraction(b), sign, tol)
+    return _bisect(poly.sign_at, Fraction(a), Fraction(b), sign)
 
 
-def _bisect(f, a, b, fa, tol: float) -> float:
-    """Bisection on a sign change of f over floats or Fractions, fa
-    carrying the sign at a."""
-    while b - a > tol:
+def _bisect(f, a, b, fa) -> float:
+    """Bisection on a sign change of f over floats or Fractions down to
+    ROOT_TOL, fa carrying the sign at a."""
+    while b - a > ROOT_TOL:
         m = (a + b) / 2
         fm = f(m)
         if fm == 0:
@@ -486,27 +482,26 @@ class _ExclusionWalk:
         return "stall", x, x, sign
 
 
-def _smallest_root_exact(poly: IntPolynomial, x: float, hi: float,
-                         tol: float) -> float | None:
+def _smallest_root_exact(poly: IntPolynomial, x: float, hi: float) -> float | None:
     """Smallest zero of poly in [x, hi] in exact arithmetic: Sturm counts of
-    the square-free part over Fraction, bisected until the cell holding the
-    first zero is narrower than tol."""
+    the square-free part at Fraction points, bisected until the cell
+    holding the first zero is narrower than ROOT_TOL."""
     g = poly.div_exact(poly.gcd(poly.derivative()))
     chain = [g, g.derivative()]
     while chain[-1].degree > 0:
         chain.append(-chain[-2]._pseudo_rem(chain[-1])._primitive())
 
     def changes(t: Fraction) -> int:
-        signs = [v for v in (p.evaluate_exact(t) for p in chain) if v]
+        signs = [v for v in (p.sign_at(t) for p in chain) if v]
         return sum((u < 0) != (v < 0) for u, v in zip(signs, signs[1:]))
 
     a, b = Fraction(x), Fraction(hi)
-    if g.evaluate_exact(a) == 0:
+    if g.sign_at(a) == 0:
         return x
     va = changes(a)
     if changes(b) == va:
         return None
-    while b - a > tol:
+    while b - a > ROOT_TOL:
         m = (a + b) / 2
         vm = changes(m)
         if vm < va:

@@ -36,12 +36,16 @@ class Regime(enum.Enum):
     THREE_ROOTS = "three-roots"          # three real roots, basins interleave
 
 
-def classify_regime(c: float, rel_tol: float = 1e-12) -> Regime:
+# a c this close to C0, relatively, sits on the tangency
+TANGENT_REL_TOL = 1e-12
+
+
+def classify_regime(c: float) -> Regime:
     if c < 0.0:
         return Regime.NEGATIVE_C
     if c == 0.0:
         return Regime.ZERO_C
-    if abs(c - C0) <= rel_tol * C0:
+    if abs(c - C0) <= TANGENT_REL_TOL * C0:
         return Regime.TANGENT
     return Regime.WINDOW_BAND if c < C0 else Regime.THREE_ROOTS
 

@@ -172,24 +172,28 @@ def as_word(w) -> SymbolWord:
 # order and admissibility
 # ----------------------------------------------------------------------
 
-def order_compare(a, b, horizon: int = 256) -> int:
+# words that agree this far compare equal
+ORDER_HORIZON = 256
+
+
+def order_compare(a, b) -> int:
     """Signed lexicographic comparison; returns -1, 0, +1.
 
     Symbols are ranked A < B < L < C < M < R; the comparison at the first
     index where the words differ is reversed when the number of
     orientation-reversing letters (B or L) seen before that index is odd.
-    Words that agree to ``horizon``, or to the end of an unresolved head,
+    Words that agree to ORDER_HORIZON, or to the end of an unresolved head,
     compare equal.  The prefixes compared double in length from the longer
     head, so words that differ early are told apart cheaply.
     """
     a, b = as_word(a), as_word(b)
-    n = min(max(horizon, 0), max(1, len(a.head), len(b.head)))
+    n = min(ORDER_HORIZON, max(1, len(a.head), len(b.head)))
     while True:
         x, y = a.prefix(n), b.prefix(n)
         cmp = _signed_compare(x, y)
-        if cmp or n >= horizon or min(len(x), len(y)) < n:
+        if cmp or n >= ORDER_HORIZON or min(len(x), len(y)) < n:
             return cmp
-        n = min(horizon, 2 * n)
+        n = min(ORDER_HORIZON, 2 * n)
 
 
 def _signed_compare(x: str, y: str) -> int:

@@ -127,11 +127,10 @@ def test_criterion_8_three_route_agreement():
     words = [w for k in range(2, 7) for w in admissible_cycles(k)]
     worst_dt, worst_lap = 0.0, 0.0
     for w in words:
-        c = find_superstable_parameter(w)
-        r_char = entropy_from_charpoly(
-            char_poly(transition_matrix(markov_partition(c))))
+        tm = transition_matrix(markov_partition(find_superstable_parameter(w)))
+        r_char = entropy_from_charpoly(char_poly(tm))
         r_knead = entropy_from_kneading(w)
-        r_lap = lap_growth_estimate(c, k_max=20)
+        r_lap = lap_growth_estimate(tm)
         worst_dt = max(worst_dt, abs(r_char.t_star - r_knead.t_star))
         worst_lap = max(worst_lap,
                         abs(r_lap.h - r_knead.h) / max(r_knead.h, 1e-12))

@@ -189,6 +189,24 @@ def test_entropy_curve_rejects_fewer_than_one_worker(monkeypatch, capsys):
         assert capsys.readouterr().err == "error: --workers must be at least 1\n"
 
 
+def test_entropy_curve_with_two_workers_prints_what_one_prints(monkeypatch, capsys):
+    import multiprocessing
+
+    pools, real_pool = [], multiprocessing.Pool
+
+    def pool(processes):
+        pools.append(processes)
+        return real_pool(processes)
+
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
+    args = ["entropy-curve", "--n", "12"]
+    assert main(args + ["--workers", "1"]) == 0
+    one = capsys.readouterr().out
+    assert main(args + ["--workers", "2"]) == 0
+    assert capsys.readouterr().out == one
+    assert pools == [2]
+
+
 def test_verify_suites_pass(capsys):
     assert main(["verify", "--suite", "markov-rlrc"]) == 0
     out = capsys.readouterr().out

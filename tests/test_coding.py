@@ -3,8 +3,7 @@ import math
 import pytest
 
 from frozen import SUPERSTABLE
-from quintic_newton.coding import itinerary
-from quintic_newton.dynamics import PoleError, find_superstable_parameter
+from quintic_newton.dynamics import PoleError, find_superstable_parameter, itinerary
 from quintic_newton.markov import entropy_point
 from quintic_newton.words import (
     SymbolWord,
@@ -58,8 +57,8 @@ def test_itinerary_raises_on_pole_start():
 
 
 def test_itinerary_of_a_non_finite_start():
-    # nan and +inf read R and then fail the step's finiteness guard, even
-    # when that step only follows the last coded point; -inf is absorbed
+    # nan and +inf are refused at the start, as a step from them would be,
+    # even when no step follows; -inf is absorbed
     for n in (1, 3):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="non-finite"):

@@ -28,7 +28,6 @@ from quintic_newton.dynamics import (
     nudge_off_poles,
     orbit_symbols,
     quintic_value,
-    symbol_stream,
     walk_orbit,
 )
 from quintic_newton.words import admissible_cycles
@@ -170,9 +169,9 @@ def test_orbit_symbols_steps_only_when_asked(monkeypatch):
     orbit = orbit_symbols(c, 0.0, 5)
     assert count_newton_steps(monkeypatch, lambda: next(orbit)) == 0
     assert count_newton_steps(monkeypatch, lambda: next(orbit)) == 1
-    # walk_orbit runs the walker to its end: n points, n steps, the one
-    # after the last point included; an absorbed or pole stop takes none
-    assert count_newton_steps(monkeypatch, lambda: walk_orbit(c, 0.0, 5)) == 5
+    # walk_orbit runs the walker to its end: n points, n - 1 steps; an
+    # absorbed or pole stop takes none
+    assert count_newton_steps(monkeypatch, lambda: walk_orbit(c, 0.0, 5)) == 4
     assert count_newton_steps(monkeypatch, lambda: walk_orbit(2.0, -5.0, 10)) == 0
     pole = (1.0 / 5.0) ** 0.25
     assert list(orbit_symbols(1.0, pole, 10)) == [(pole, None)]
@@ -206,11 +205,8 @@ def test_superstable_with_explicit_bracket():
 def test_symbol_streams():
     c = SUPERSTABLE["RLRC"]
     assert critical_symbols(c, 8) == "RLRCRLRC"
-    assert symbol_stream(c, 0.0, 5) == "CRLRC"
-    # absorption: the stream stops at the first A or B
-    s = symbol_stream(2.0, -5.0, 10)
-    assert s == "A"
-    # the walker behind the streams records why it stopped
+    # the walker behind the streams records why it stopped; absorption
+    # stops it at the first A or B
     code = walk_orbit(c, 0.0, 5)
     assert code.symbols == "CRLRC" and code.stop == STOP_HORIZON
     assert len(code.points) == 5 and code.points[0] == 0.0
@@ -221,8 +217,9 @@ def test_symbol_streams():
     # the point that met the pole is kept but not coded
     assert code.symbols == "" and code.points == (pole,)
     assert code.stop == STOP_POLE
+    # at c = 5^(1/5) the critical value 1/c is the right pole
     with pytest.raises(PoleError):
-        symbol_stream(1.0, pole, 10)
+        critical_symbols(5.0 ** 0.2, 3)
 
 
 def test_pole_nudges_try_four_parameters_then_raise():

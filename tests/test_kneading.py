@@ -109,8 +109,6 @@ def test_branch_steps_from_the_root():
     assert tree_polynomial_step(P, 2, "R").to_list() == CIRCLES["RRC"]
     assert tree_polynomial_step(P, 2, "M").to_list() == [1, -1, 0, -2]
     assert tree_polynomial_step(P, 2, "L").to_list() == [1, -1, 2]
-    with pytest.raises(StructureError):
-        tree_polynomial_step(P, 2, "R", delta=-1)
 
 
 # ----------------------------------------------------------------------

@@ -160,7 +160,8 @@ def test_lap_growth_matches_dense_path_totals():
             totals.append(sum(map(sum, P)))
             P = dense_mat_mul(P, m)
         ratio = totals[-1] / totals[-2]
-        assert lap_growth_estimate(c, k_max=20).t_star == 1.0 / ratio, word
+        tm = transition_matrix(markov_partition(c))
+        assert lap_growth_estimate(tm).t_star == 1.0 / ratio, word
 
 
 def test_char_poly_identity_with_kneading(c_rlrc):
@@ -173,10 +174,10 @@ def test_char_poly_identity_with_kneading(c_rlrc):
 
 
 def test_three_entropy_routes_agree(c_rlrc):
-    r_char = entropy_from_charpoly(
-        char_poly(transition_matrix(markov_partition(c_rlrc))))
+    tm = transition_matrix(markov_partition(c_rlrc))
+    r_char = entropy_from_charpoly(char_poly(tm))
     r_knead = entropy_from_kneading("RLRC")
-    r_lap = lap_growth_estimate(c_rlrc, k_max=20)
+    r_lap = lap_growth_estimate(tm)
     assert abs(r_char.t_star - r_knead.t_star) < 1e-10
     assert abs(1.0 / r_knead.t_star - TRIBONACCI) < 1e-10
     assert abs(r_lap.h - r_knead.h) / r_knead.h < 0.02

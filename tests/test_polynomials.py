@@ -52,11 +52,20 @@ def test_exact_division():
         p.div_exact(q)
 
 
+def exact_value(p, x: Fraction) -> Fraction:
+    """p(x) by Horner's rule over Fraction."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def test_evaluation_float_and_exact():
     p = IntPolynomial([1, -1, -1, -1])
     t = 0.5436890126920763
     assert abs(p.evaluate(t)) < 1e-12
-    assert p.evaluate_exact(Fraction(1, 2)) == Fraction(1, 8)
+    assert exact_value(p, Fraction(1, 2)) == Fraction(1, 8)
+    assert p.sign_at(Fraction(1, 2)) == 1
     assert p.evaluate(0.0) == 1.0
 
 
@@ -64,7 +73,9 @@ def test_evaluation_float_and_exact():
 def test_product_evaluates_pointwise(a, b):
     p, q = IntPolynomial(a), IntPolynomial(b)
     x = Fraction(3, 7)
-    assert (p * q).evaluate_exact(x) == p.evaluate_exact(x) * q.evaluate_exact(x)
+    value = exact_value(p * q, x)
+    assert value == exact_value(p, x) * exact_value(q, x)
+    assert (p * q).sign_at(x) == (value > 0) - (value < 0)
 
 
 @given(coeff_lists, coeff_lists)
@@ -212,7 +223,7 @@ def test_smallest_root_in_finds_the_smallest_planted_root(factors):
         poly = poly * f * f if squared else poly * f
         roots.add(Fraction(p, q))
     inside = [r for r in roots if Fraction(lo) <= r <= Fraction(hi)]
-    got = smallest_root_in(poly, lo, hi, tol)
+    got = smallest_root_in(poly, lo, hi)
     if not inside:
         assert got is None
     else:
