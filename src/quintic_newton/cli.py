@@ -79,6 +79,8 @@ def _emit(args: argparse.Namespace, command: str, text: str,
 # ----------------------------------------------------------------------
 
 def cmd_reduce(args: argparse.Namespace) -> int:
+    if args.points < 0:
+        raise ValueError("--points must not be negative")
     q = BringJerrardQuintic(args.a, args.b)
     r = reduce_quintic(q)
     rng = random.Random(args.seed)
@@ -184,6 +186,10 @@ def cmd_entropy_curve(args: argparse.Namespace) -> int:
 def cmd_bifurcation(args: argparse.Namespace) -> int:
     if args.n < 2:
         raise ValueError("need at least two grid points")
+    if args.transient < 0:
+        raise ValueError("--transient must not be negative")
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
     rows = ["c,x"]
     skip = args.transient + 1
     for i in range(args.n):
@@ -378,9 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bifurcation)
 
     p = sub.add_parser("verify", help="built-in consistency suites")
-    p.add_argument("--suite", default="all",
-                   choices=("conjugacy", "admissibility", "monotonicity",
-                            "entropy-routes", "markov-rlrc", "all"))
+    p.add_argument("--suite", default="all", choices=(*SUITES, "all"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)

@@ -9,7 +9,8 @@ orbits with (one walker, the generator ``orbit_symbols``, which steps only
 when asked, so n points cost n - 1 steps; one periodic-tail rule; one
 reader, ``OrbitCode.word``, that turns a walk into the word ``itinerary``
 returns; one pole-nudge schedule), and the locator for parameters whose
-critical orbit closes up on a prescribed cycle word.
+critical orbit closes up on a prescribed cycle word (its k-th return is
+halved by ``polynomials.bisect_sign``, as the band roots are).
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
+from .polynomials import bisect_sign
 from .words import (
     SymbolWord,
     TAIL_A_INF,
@@ -321,8 +323,9 @@ def find_superstable_parameter(word, bracket: tuple[float, float] | None = None,
     symbolic order pins the parameter down by bisection; each comparison
     reads the critical orbit against the word's prefix and stops at the
     first symbol where they differ, which decides the order (a walk that
-    matches up to the horizon compares equal).  A final bisection on the
-    sign of the k-th return of zero polishes the result.  Raises ValueError
+    matches up to the horizon compares equal).  ``bisect_sign`` then halves
+    the sign of the k-th return of zero, and a secant from the left end of
+    its bracket polishes the result.  Raises ValueError
     when the word is not an admissible cycle word or no parameter in the
     bracket realizes it.
     """
@@ -372,18 +375,7 @@ def find_superstable_parameter(word, bracket: tuple[float, float] | None = None,
     try:
         ga, gb = kth_return(a), kth_return(b)
         if (ga < 0) != (gb < 0):
-            aa, bb = a, b
-            while bb - aa > max(tol, 1e-16 * bb):
-                mm = 0.5 * (aa + bb)
-                gm = kth_return(mm)
-                if gm == 0.0:
-                    aa = bb = mm
-                    break
-                if (ga < 0) != (gm < 0):
-                    bb = mm
-                else:
-                    aa, ga = mm, gm
-            a, b = aa, bb
+            a, b = bisect_sign(kth_return, a, b, ga, tol)
     except PoleError:
         pass  # fall back to the order bisection midpoint
     c_star = 0.5 * (a + b)

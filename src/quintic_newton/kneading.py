@@ -15,15 +15,16 @@ is an integer polynomial with a rigid shape: 1 - t, middle coefficients in
 {-2, 0, 2}, and a tail -delta*(t^k + t^(k+1)) whose sign delta flips with
 the parity of L's in the word.  The same combination without the cycle
 factor handles convergent words.  ``cycle_polynomial`` rebuilds P by a
-three-case suffix recursion instead of the determinant, one branch step
-from the parent's polynomial per word.  ``build_polynomial_tree`` keeps
-the polynomials it has built in a dict that lives for that one call, so
-each word, the non-admissible intermediates included, costs one step; it
-cross-checks every node against the determinant and refuses to hand out a
-tree where the two routes disagree.  ``kneading_numerator`` reads the same
-numerator straight off the word as one integer series; every entropy
-route uses it, and the determinant is kept as the oracle it is tested
-against.
+suffix recursion instead of the determinant, one ``tree_polynomial_step``
+from the parent's polynomial along an R, M or L edge per word, and
+``convergent_polynomial`` steps along the A edge.  ``build_polynomial_tree``
+keeps the polynomials it has built in a dict that lives for that one call,
+so each word, the non-admissible intermediates included, costs one step;
+it cross-checks every node against the determinant and refuses to hand
+out a tree where the two routes disagree.  ``kneading_numerator`` reads
+the same numerator straight off the word as one integer series; every
+entropy route uses it, and the determinant is kept as the oracle it is
+tested against.
 """
 from __future__ import annotations
 
@@ -275,39 +276,27 @@ def shape_split(P: IntPolynomial, k: int) -> tuple[IntPolynomial, int]:
     return IntPolynomial._trusted(list(cs[:k])), -cs[k]
 
 
-# The branch images of a split (p, delta) past p: their coefficients of
-# t^k, t^(k+1), ... in units of delta.
-_STEP_TAILS = {"A": (-2,), "L": (2,), "M": (0, -2), "R": (0, -1, -1)}
-# A cycle word's polynomial from its parse parent's split, by edge: the R
-# image, or the A image plus the germination term -+delta*(t^kc + t^(kc+1))
-# at the child's length kc = k + 1 (M) or k + 2 (L).
-_EDGE_TAILS = {"R": (0, -1, -1), "M": (-2, -1, -1), "L": (-2, 0, 1, 1)}
+# The tree edges out of a length-k cycle word with split (p, delta), as the
+# coefficients of t^k, t^(k+1), ... that follow p, in units of delta: the
+# convergent image p - 2*delta*t^k (A), the R image, and the A image plus
+# the germination term -+delta*(t^kc + t^(kc+1)) at the child's length
+# kc = k + 1 (M) or k + 2 (L).
+_EDGE_TAILS = {"A": (-2,), "R": (0, -1, -1), "M": (-2, -1, -1), "L": (-2, 0, 1, 1)}
 
 
-def _attach(p: IntPolynomial, k: int, delta: int,
-            tail: tuple[int, ...]) -> IntPolynomial:
-    """p plus delta * tail[i] * t^(k + i)."""
+def tree_polynomial_step(d_k: IntPolynomial, k: int, edge: str) -> IntPolynomial:
+    """One step along a tree edge from a length-k cycle word's cleared
+    polynomial ``d_k``: the polynomial of its child on edge R, M or L (a
+    cycle word), or of its convergent on edge A.  Raises StructureError
+    when d_k lacks the rigid shape and ValueError for an unknown edge.
+    """
+    p, delta = shape_split(d_k, k)
+    if edge not in _EDGE_TAILS:
+        raise ValueError(f"unknown edge {edge!r}")
     cs = list(p.coeffs)
     cs += [0] * (k - len(cs))
-    cs += [delta * c for c in tail]
+    cs += [delta * c for c in _EDGE_TAILS[edge]]
     return IntPolynomial._trusted(cs)
-
-
-def tree_polynomial_step(d_k: IntPolynomial, k: int, branch: str) -> IntPolynomial:
-    """One branch step of the cycle-polynomial recursion.
-
-    ``d_k`` is the cleared polynomial of a length-k cycle word (the form
-    with the single (1-t) factor still in place).  The four branch images
-    are the literal step formulas: p - 2*delta*t^k (A), p + 2*delta*t^k
-    (L), p - 2*delta*t^(k+1) (M) and p - delta*(t^(k+1) + t^(k+2)) (R).
-    Only the R branch lands on the cleared polynomial of the one-longer
-    cycle word, the other three are the convergent and germination images
-    used to assemble longer cycles.
-    """
-    p, d = shape_split(d_k, k)
-    if branch not in _STEP_TAILS:
-        raise ValueError(f"unknown branch {branch!r}")
-    return _attach(p, k, d, _STEP_TAILS[branch])
 
 
 _ROOT_POLY = IntPolynomial([1, -1, -1, -1])
@@ -323,7 +312,7 @@ def cycle_polynomial(word, *,
     maps plain cycle strings to their polynomials: the walk up the parse
     stops at the first word found there, or at the root RC, and every word
     it passes on the way back down is stored, so each new word costs one
-    branch step.  Without it the walk starts over from the root.
+    ``tree_polynomial_step``.  Without it the walk starts over from the root.
     """
     w = as_word(word)
     if not w.is_cycle():
@@ -338,16 +327,16 @@ def cycle_polynomial(word, *,
         word = parent
     P = known.get(word, _ROOT_POLY)
     for child, edge in reversed(chain):
-        p, delta = shape_split(P, len(word))
-        P = known[child] = _attach(p, len(word), delta, _EDGE_TAILS[edge])
+        P = known[child] = tree_polynomial_step(P, len(word), edge)
         word = child
     return P
 
 
 def convergent_polynomial(word, *,
                           known: dict[str, IntPolynomial] | None = None) -> IntPolynomial:
-    """Cleared polynomial of a convergent word: the A image of its cycle,
-    taken from ``known`` (see ``cycle_polynomial``) when it is there."""
+    """Cleared polynomial of a convergent word: one ``tree_polynomial_step``
+    along the A edge from its cycle's polynomial, taken from ``known`` (see
+    ``cycle_polynomial``) when it is there."""
     w = as_word(word)
     if w.tail != TAIL_A_INF:
         raise WordError(f"not a convergent word: {word!r}")

@@ -4,18 +4,20 @@ Everything downstream of the symbolic coding (kneading increments,
 determinants, characteristic polynomials) must be exact: the entropy
 comparisons in the test suite check integer coefficient lists, not floats.
 Coefficients are Python ints stored lowest power first with trailing zeros
-stripped, and division is exact integer division that raises when it does
-not come out even.  The kneading algebra works on integer numerators; the
-determinant oracle hands its result out once as a ``RationalFunctionInT``,
-a value type that holds an integer numerator over an explicit multiset of
-(1 - t^m) factors, the only denominator the coding produces.  It compares
-and reduces but does no arithmetic: callers compute on ``num`` and ``den``.
+stripped, and division is exact: it gives None (``try_div_exact``) or
+raises (``div_exact``) when it does not come out even over Z.  The kneading
+algebra works on integer numerators; the determinant oracle hands its
+result out once as a ``RationalFunctionInT``, a value type that holds an
+integer numerator over an explicit multiset of (1 - t^m) factors, the only
+denominator the coding produces.  It compares and reduces but does no
+arithmetic: callers compute on ``num`` and ``den``.
 
 Floating point enters only through ``evaluate`` and the band-root search
 at the bottom, and every float decision there is certified: rounding
 bounds exclude cells and prove a single zero, exact integer signs confirm
 the bisected value, and what floats cannot decide is decided exactly with
-a gcd over Z and Sturm counts.
+a gcd over Z and Sturm counts.  ``bisect_sign`` is the package's one halving
+of a sign change to a tolerance, here and in the locator's k-th return.
 """
 from __future__ import annotations
 
@@ -74,11 +76,6 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __getitem__(self, m: int) -> int:
-        if 0 <= m < len(self.coeffs):
-            return self.coeffs[m]
-        return 0
-
     def to_list(self) -> list[int]:
         return list(self.coeffs)
 
@@ -133,16 +130,11 @@ class IntPolynomial:
         out.extend(a[len(b):])
         return IntPolynomial._trusted(out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial._trusted([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "IntPolynomial":
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "IntPolynomial":
-        return self._coerce(other) - self
 
     def __mul__(self, other) -> "IntPolynomial":
         other = self._coerce(other)
@@ -156,8 +148,6 @@ class IntPolynomial:
                 out[i + j] += a * b
         return IntPolynomial._trusted(out)
 
-    __rmul__ = __mul__
-
     def shift(self, m: int) -> "IntPolynomial":
         """Multiply by t^m."""
         if self.is_zero():
@@ -167,38 +157,27 @@ class IntPolynomial:
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial._trusted([m * c for m, c in enumerate(self.coeffs)][1:])
 
-    def divmod(self, other: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
-        """Polynomial division; raises ArithmeticError when the quotient, and
-        with it the remainder, fails to have integer coefficients."""
-        other = self._coerce(other)
-        if other.is_zero():
+    def try_div_exact(self, other: "IntPolynomial") -> "IntPolynomial | None":
+        """self / other when the division is exact over Z: None as soon as a
+        quotient coefficient is not an integer or when a remainder is left;
+        a zero divisor raises ZeroDivisionError."""
+        div = self._coerce(other).coeffs
+        if not div:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quot = [0] * max(1, len(rem) - len(other.coeffs) + 1)
-        dlead = other.coeffs[-1]
-        dn = len(other.coeffs)
+        rem, dn, lead = list(self.coeffs), len(div), div[-1]
+        quot = [0] * max(1, len(rem) - dn + 1)
         for i in range(len(rem) - dn, -1, -1):
-            f, r = divmod(rem[i + dn - 1], dlead)
+            f, r = divmod(rem[i + dn - 1], lead)
             if r:
-                raise ArithmeticError(
-                    f"non-integer coefficient {rem[i + dn - 1]}/{dlead} "
-                    "in exact division")
+                return None
             quot[i] = f
             if f:
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] -= f * b
-        return IntPolynomial._trusted(quot), IntPolynomial._trusted(rem[: dn - 1])
-
-    def try_div_exact(self, other: "IntPolynomial") -> "IntPolynomial | None":
-        """self / other when the division is exact over Z, else None."""
-        try:
-            q, r = self.divmod(other)
-        except ArithmeticError:
-            return None
-        return q if r.is_zero() else None
+                for j, d in enumerate(div):
+                    rem[i + j] -= f * d
+        return None if any(rem) else IntPolynomial._trusted(quot)
 
     def div_exact(self, other: "IntPolynomial") -> "IntPolynomial":
-        q = self.try_div_exact(self._coerce(other))
+        q = self.try_div_exact(other)
         if q is None:
             raise ArithmeticError(f"{self} is not divisible by {other}")
         return q
@@ -337,14 +316,15 @@ def smallest_root_in(poly: IntPolynomial, lo: float, hi: float) -> float | None:
     Every answer is certified.  An exclusion walk from lo proves poly free
     of zeros on [lo, a] and proves exactly one zero in (a, b); for the
     Milnor-Thurston determinant D(t) that is the statement D(t) > 0 on
-    [0, t*).  The zero is bisected in floating point from the cell of the
-    grid lo + (hi - lo) * i / 4096 that holds (a, b), and that value t is
-    kept when exact signs at t - ROOT_TOL and t + ROOT_TOL bracket the zero;
-    otherwise (a, b) is bisected in exact arithmetic.  Where floating
-    point cannot decide a cell (a double root, two roots closer than the
-    rounding), the rest of [lo, hi] is decided exactly: Sturm counts of the
-    square-free part, bisected down to ROOT_TOL.  Bounds exact
-    arithmetic cannot represent raise ValueError; nothing is guessed.
+    [0, t*).  ``bisect_sign`` halves the cell of the grid
+    lo + (hi - lo) * i / 4096 that holds (a, b) in floating point, and the
+    midpoint t of its last bracket is kept when exact signs at t - ROOT_TOL
+    and t + ROOT_TOL bracket the zero; otherwise it halves (a, b) itself
+    in Fractions.  Where floating point cannot decide a cell (a double
+    root, two roots closer than the rounding), the rest of [lo, hi] is
+    decided exactly: Sturm counts of the square-free part, halved down to
+    ROOT_TOL.  Bounds exact arithmetic cannot represent raise ValueError;
+    nothing is guessed.
     """
     if not 0.0 <= lo < hi < math.inf:
         raise ValueError(f"need 0 <= lo < hi < inf, got [{lo!r}, {hi!r}]")
@@ -362,28 +342,38 @@ def smallest_root_in(poly: IntPolynomial, lo: float, hi: float) -> float | None:
         left, right = walk.grid_point(i - 1), walk.grid_point(i)
         fl, fr = f(left), f(right)
         if fl != 0.0 and fr != 0.0 and (fl < 0) == (sign < 0) != (fr < 0):
-            t = _bisect(f, left, right, fl)
+            left, right = bisect_sign(f, left, right, fl, ROOT_TOL)
+            t = (left + right) / 2
             below, above = t - ROOT_TOL, t + ROOT_TOL
             # exact signs put the one zero of (a, b) inside (below, above)
             if below <= b and (below <= a or poly.sign_at(below) == sign) \
                     and (above >= b or poly.sign_at(above) == -sign):
                 return t
-    return _bisect(poly.sign_at, Fraction(a), Fraction(b), sign)
+    a, b = bisect_sign(poly.sign_at, Fraction(a), Fraction(b), sign, ROOT_TOL)
+    return float((a + b) / 2)
 
 
-def _bisect(f, a, b, fa) -> float:
-    """Bisection on a sign change of f over floats or Fractions down to
-    ROOT_TOL, fa carrying the sign at a."""
-    while b - a > ROOT_TOL:
+def bisect_sign(f, a, b, fa, tol):
+    """Halve a sign change of f on [a, b] until b - a <= max(tol, 1e-16 * b)
+    and return the last bracket (a, b); fa carries the sign of f at a.
+
+    The points may be floats or Fractions.  A midpoint m where f is exactly
+    0 gives (m, m).  Floats stop early at adjacent ends, where the midpoint
+    rounds onto one of them and the bracket cannot shrink.
+    """
+    relative = 1e-16 * b > tol      # b only shrinks: a floor under tol stays under
+    while b - a > (max(tol, 1e-16 * b) if relative else tol):
         m = (a + b) / 2
         fm = f(m)
         if fm == 0:
-            return float(m)
+            return m, m
+        if m == a or m == b:
+            break
         if (fa < 0) != (fm < 0):
             b = m
         else:
             a, fa = m, fm
-    return float((a + b) / 2)
+    return a, b
 
 
 class _ExclusionWalk:
@@ -484,8 +474,9 @@ class _ExclusionWalk:
 
 def _smallest_root_exact(poly: IntPolynomial, x: float, hi: float) -> float | None:
     """Smallest zero of poly in [x, hi] in exact arithmetic: Sturm counts of
-    the square-free part at Fraction points, bisected until the cell
-    holding the first zero is narrower than ROOT_TOL."""
+    the square-free part at Fraction points, halved by ``bisect_sign`` on
+    whether the count still equals the one at x, until the cell holding the
+    first zero is narrower than ROOT_TOL."""
     g = poly.div_exact(poly.gcd(poly.derivative()))
     chain = [g, g.derivative()]
     while chain[-1].degree > 0:
@@ -501,11 +492,5 @@ def _smallest_root_exact(poly: IntPolynomial, x: float, hi: float) -> float | No
     va = changes(a)
     if changes(b) == va:
         return None
-    while b - a > ROOT_TOL:
-        m = (a + b) / 2
-        vm = changes(m)
-        if vm < va:
-            b = m
-        else:
-            a, va = m, vm
+    a, b = bisect_sign(lambda m: 1 if changes(m) == va else -1, a, b, 1, ROOT_TOL)
     return float((a + b) / 2)

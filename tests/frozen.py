@@ -167,3 +167,9 @@ FREE_ROOT_HEX = {
     1.6: "-0x1.3ebd4c376fbcfp+0",
     1.649: "-0x1.403ad284b7fb4p+0",
 }
+
+# sha256 over one line per polynomial of test_polynomials.planted_root_polys
+# (seed 0, 400 polynomials): smallest_root_in(poly, BAND_ROOT_LO - 1e-9,
+# 1.0).hex(), or "none"; 330 of them reach the Sturm fallback and 2 the
+# exact Fraction bisection
+PLANTED_ROOT_DIGEST = "6290d844b3126206a3e6138895bd72664b84c7a0837651ac31ee1ad3b05019a0"

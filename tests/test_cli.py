@@ -179,6 +179,28 @@ def test_bifurcation_needs_two_grid_points(capsys):
         assert capsys.readouterr().err == "error: need at least two grid points\n"
 
 
+def test_bifurcation_rejects_a_negative_transient(capsys):
+    assert main(["bifurcation", "--n", "2", "--transient", "-5", "--samples", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --transient must not be negative\n"
+
+
+def test_bifurcation_rejects_fewer_than_one_sample(capsys):
+    for samples in ("0", "-3"):
+        assert main(["bifurcation", "--n", "2", "--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --samples must be at least 1\n"
+
+
+def test_reduce_rejects_a_negative_point_count(capsys):
+    assert main(["reduce", "1", "2", "--points", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --points must not be negative\n"
+
+
 def test_entropy_curve_rejects_fewer_than_one_worker(monkeypatch, capsys):
     def no_curve(*args, **kwargs):
         raise AssertionError("the curve (and its pool) must not start")

@@ -202,6 +202,13 @@ def test_superstable_with_explicit_bracket():
     assert abs(c - SUPERSTABLE["RLRC"]) < 1e-9
 
 
+def test_superstable_returns_for_a_tol_below_one_ulp():
+    # the bisections stop at adjacent floats instead of halving forever
+    for tol in (0.0, 1e-17):
+        c = find_superstable_parameter("RLRC", tol=tol)
+        assert abs(c - SUPERSTABLE["RLRC"]) < 1e-9
+
+
 def test_symbol_streams():
     c = SUPERSTABLE["RLRC"]
     assert critical_symbols(c, 8) == "RLRCRLRC"

@@ -107,8 +107,8 @@ def test_branch_steps_from_the_root():
     P = IntPolynomial(CIRCLES["RC"])
     assert tree_polynomial_step(P, 2, "A").to_list() == SQUARES["RA"]
     assert tree_polynomial_step(P, 2, "R").to_list() == CIRCLES["RRC"]
-    assert tree_polynomial_step(P, 2, "M").to_list() == [1, -1, 0, -2]
-    assert tree_polynomial_step(P, 2, "L").to_list() == [1, -1, 2]
+    assert tree_polynomial_step(P, 2, "M").to_list() == CIRCLES["MRC"]
+    assert tree_polynomial_step(P, 2, "L").to_list() == CIRCLES["RLRC"]
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Every function, class and public method in the package has a caller.
+"""Every function, class and non-dunder method in the package has a caller.
 
 A name counts as used when code in ``src/`` or ``perfbench/`` refers to it
 outside its own definition, as a bare name, as an attribute, or through an
@@ -22,14 +22,15 @@ TEST_ORACLES = {
 
 
 def _definitions(tree: ast.Module):
-    """(qualified name, node) for each top-level def/class and public method."""
+    """(qualified name, node) for each top-level def/class and each method
+    that is not a dunder (operators are called by syntax, not by name)."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, defs):
             yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, defs[:2]) and not item.name.startswith("_"):
+                if isinstance(item, defs[:2]) and not item.name.startswith("__"):
                     yield f"{node.name}.{item.name}", item
 
 

@@ -1,7 +1,10 @@
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from frozen import PLANTED_ROOT_DIGEST
 from hypothesis import given, settings, strategies as st
 
 from quintic_newton import polynomials
@@ -10,6 +13,7 @@ from quintic_newton.markov import BAND_ROOT_LO
 from quintic_newton.polynomials import (
     IntPolynomial,
     RationalFunctionInT,
+    bisect_sign,
     smallest_root_in,
 )
 from quintic_newton.words import admissible_convergents, admissible_cycles
@@ -126,6 +130,29 @@ def test_gcd_divides_both_and_keeps_common_factors(a, b, c):
         assert g.try_div_exact(r) is not None
 
 
+@pytest.mark.parametrize("kind", [float, Fraction], ids=["float", "fraction"])
+def test_bisect_sign_closes_the_bracket_to_tol(kind):
+    f = IntPolynomial([-1, 3]).sign_at              # zero at 1/3, never a midpoint
+    a, b = bisect_sign(f, kind(0), kind(1), -1, 1e-13)
+    assert type(a) is type(b) is kind
+    assert 0 < b - a <= 1e-13
+    assert f(a) < 0 < f(b)
+
+
+@pytest.mark.parametrize("kind", [float, Fraction], ids=["float", "fraction"])
+def test_bisect_sign_stops_on_an_exact_zero(kind):
+    f = IntPolynomial([3, -8]).sign_at              # zero at 3/8, the third midpoint
+    assert bisect_sign(f, kind(0), kind(1), 1, 1e-13) == (Fraction(3, 8),) * 2
+
+
+def test_bisect_sign_stops_below_tol_at_the_floors():
+    f = IntPolynomial([-4_000_001, 3]).sign_at
+    a, b = bisect_sign(f, 1e6, 2e6, -1, 0.0)        # adjacent floats end it
+    assert b == math.nextafter(a, math.inf) and f(a) < 0 < f(b)
+    a, b = bisect_sign(f, Fraction(10**6), Fraction(2 * 10**6), -1, 0.0)
+    assert 0 < b - a <= 1e-16 * b and f(a) < 0 < f(b)
+
+
 def scan_oracle(poly, lo, hi, tol=1e-13):
     """The former root finder, kept as the oracle: a sign scan over 4096
     equal cells and bisection in the first cell whose ends differ in sign.
@@ -228,6 +255,35 @@ def test_smallest_root_in_finds_the_smallest_planted_root(factors):
         assert got is None
     else:
         assert got is not None and abs(Fraction(got) - min(inside)) <= tol
+
+
+def planted_root_polys(seed, count):
+    """count polynomials with roots planted in [0.4, 1]: every other one a
+    cluster of simple roots within 0.005, the rest spread roots of
+    multiplicity 1 to 3, so the float, Fraction and Sturm paths all run."""
+    rng = random.Random(seed)
+    for i in range(count):
+        poly = IntPolynomial([rng.choice((-1, 1))])
+        centre = rng.uniform(0.4, 1.0)
+        for _ in range(rng.randint(2, 5) if i % 2 else rng.randint(1, 4)):
+            if i % 2:
+                q, power = rng.randint(50, 5000), 1
+                root = centre + rng.uniform(-0.005, 0.005)
+            else:
+                q = rng.randint(2, 10 ** rng.randint(1, 4))
+                root, power = rng.uniform(0.4, 1.0), rng.randint(1, 3)
+            f = IntPolynomial([-round(q * root), q])
+            for _ in range(power):
+                poly = poly * f
+        yield poly
+
+
+def test_smallest_root_in_is_pinned_on_planted_roots():
+    digest = hashlib.sha256()
+    for poly in planted_root_polys(0, 400):
+        t = smallest_root_in(poly, BAND_ROOT_LO - 1e-9, 1.0)
+        digest.update(f"{'none' if t is None else t.hex()}\n".encode())
+    assert digest.hexdigest() == PLANTED_ROOT_DIGEST
 
 
 def test_smallest_root_in_matches_the_scan_bitwise_on_kneading_words():
