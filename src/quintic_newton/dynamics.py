@@ -292,10 +292,13 @@ def itinerary(c: float, x0: float, length: int, tol: float = 1e-10) -> SymbolWor
 
     A point within tol of zero reads C; within tol of a pole the itinerary
     is undefined and PoleError is raised.  The walk of ``length`` points
-    becomes a word by ``OrbitCode.word``.
+    becomes a word by ``OrbitCode.word``.  A negative or nan tol raises
+    ValueError: no point would ever read C or meet a pole.
     """
     if length < 1:
         raise ValueError("length must be positive")
+    if not tol >= 0:
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
     code = walk_orbit(c, x0, length, tol)
     if code.stop == STOP_POLE:
         raise code.pole_error()
@@ -326,9 +329,11 @@ def find_superstable_parameter(word, bracket: tuple[float, float] | None = None,
     matches up to the horizon compares equal).  ``bisect_sign`` then halves
     the sign of the k-th return of zero, and a secant from the left end of
     its bracket polishes the result.  Raises ValueError
-    when the word is not an admissible cycle word or no parameter in the
-    bracket realizes it.
+    when the word is not an admissible cycle word, no parameter in the
+    bracket realizes it, or tol is negative or nan.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
     target = as_word(word)
     if not (target.is_cycle() and is_admissible(target)):
         raise ValueError(f"not an admissible cycle word: {word!r}")

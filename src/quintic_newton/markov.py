@@ -2,14 +2,17 @@
 three entropy routes.
 
 When the critical orbit is periodic the marked points plus the orbit cut
-the line into intervals that map onto unions of each other; the growth rate
-of the resulting 0/1 transition matrix is one route to the topological
-entropy.  The kneading determinant gives a second, exact route, and lap
-counting through powers of the matrix a third.  ``entropy_curve`` walks a
-parameter grid using the kneading route: a critical orbit that closes up is
-read as its cycle word, any other walk becomes a word by the orbit layer's
-one reader, ``OrbitCode.word``, and a word it leaves unresolved falls back
-to a truncated series whose tail is provably below the working tolerance.
+the line into intervals that map onto unions of each other.  Where each
+interval goes follows from the construction (the orbit shifts along itself,
+the free root is fixed, the poles send their sides to +-inf), so the 0/1
+transition matrix is read off without evaluating the map; its growth rate
+is one route to the topological entropy.  The kneading determinant gives a
+second, exact route, and lap counting through powers of the matrix a third.
+``entropy_curve`` walks a parameter grid using the kneading route: a
+critical orbit that closes up is read as its cycle word, any other walk
+becomes a word by the orbit layer's one reader, ``OrbitCode.word``, and a
+word it leaves unresolved falls back to a truncated series whose tail is
+provably below the working tolerance.
 """
 from __future__ import annotations
 
@@ -34,7 +37,6 @@ from .words import TAIL_UNRESOLVED
 # entropy lives in [0, log(1+sqrt(2))]; the smallest admissible root of the
 # entropy polynomials is sqrt(2)-1, searched with a hair of margin
 BAND_ROOT_LO = math.sqrt(2.0) - 1.0
-ENTROPY_MAX = math.log(1.0 + math.sqrt(2.0))
 
 # the critical orbit of a cycle parameter returns within RETURN_TOL of zero
 # in at most CRITICAL_PERIOD_CAP steps; partition points closer than
@@ -42,7 +44,6 @@ ENTROPY_MAX = math.log(1.0 + math.sqrt(2.0))
 CRITICAL_PERIOD_CAP = 64
 RETURN_TOL = 1e-6
 COLLISION_TOL = 1e-9
-ONE_SIDED_STEP = 1e-9   # Richardson steps h, 2h for one-sided image limits
 LAP_STEPS = 20          # lap growth: the ratio of path counts through M^20, M^19
 MAX_HORIZON = 4096      # the series horizon doubles up to this
 
@@ -70,14 +71,16 @@ def _band_root(f) -> float | None:
 
 @dataclass(frozen=True)
 class MarkovPartition:
+    """images[i] is (N(u+), N(w-)) for intervals[i] = (u, w)."""
+
     c: float
     boundaries: tuple[float, ...]
     intervals: tuple[tuple[float, float], ...]
+    images: tuple[tuple[float, float], ...]
 
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    partition: MarkovPartition
     matrix: tuple[tuple[int, ...], ...]
 
     @property
@@ -103,7 +106,12 @@ def markov_partition(c: float) -> MarkovPartition:
 
     The piece between the free root and the left pole is transient — no
     orbit point lies there and nothing maps back into it — so it is left
-    out of the state set.
+    out of the state set.  The image limits are read off the construction,
+    with no evaluation of N: each orbit point goes to the next and the last
+    back to 0 (``critical_orbit`` checked that return), the free root d0 is
+    fixed, and +-inf stay put since N(x) ~ 4x/5.  At a pole the numerator
+    4x^5 - 1 = -f < 0 while 5x^4 - c changes sign, so the outer side goes
+    to -inf and the inner side to +inf.
     """
     frame = critical_frame(c)
     pts = critical_orbit(c)
@@ -130,57 +138,27 @@ def markov_partition(c: float) -> MarkovPartition:
             continue
         intervals.append((boundaries[i], boundaries[i + 1]))
     intervals.append((boundaries[-1], math.inf))
-    return MarkovPartition(c, tuple(boundaries), tuple(intervals))
+    image = dict(zip(pts, pts[1:] + pts[:1]))
+    image[frame.d0] = frame.d0
+    from_right = {**image, -math.inf: -math.inf, frame.d1: math.inf, frame.d3: -math.inf}
+    from_left = {**image, math.inf: math.inf, frame.d1: -math.inf, frame.d3: math.inf}
+    images = tuple([(from_right[u], from_left[w]) for u, w in intervals])
+    return MarkovPartition(c, tuple(boundaries), tuple(intervals), images)
 
 
 def transition_matrix(partition: MarkovPartition) -> TransitionMatrix:
     """0/1 matrix: does the open image of interval i cover part of j?
 
     The map is monotone on each interval (all turning and blow-up points
-    are boundaries), so the image is the open interval between the one-sided
-    limits at the ends.  Those limits must land on partition boundaries or
-    escape beyond the frame; each computed endpoint is snapped to the grid
-    and an endpoint that fails to snap raises, rather than guessing.
+    are boundaries), so the image is the open interval between the limits
+    the partition records at its ends.
     """
-    c = partition.c
-    bounds = partition.boundaries
-    gaps = [b2 - b1 for b1, b2 in zip(bounds, bounds[1:])]
-    snap_tol = min(1e-5, min(gaps) / 8.0)
-
-    def endpoint(x: float, from_right: bool) -> float:
-        if math.isinf(x):
-            return x  # N(x) ~ 4x/5 far out, same sign of infinity
-        s = 1.0 if from_right else -1.0
-        # one-sided limit by Richardson step: cancels the O(|N'| h) skew,
-        # which near a pole-adjacent boundary would exceed the snap window
-        v1 = newton_eval(c, x + s * ONE_SIDED_STEP)
-        v2 = newton_eval(c, x + s * 2.0 * ONE_SIDED_STEP)
-        return 2.0 * v1 - v2
-
-    def snap(v: float) -> float:
-        if math.isinf(v):
-            return v
-        if v > bounds[-1] + snap_tol:
-            return math.inf
-        if v < bounds[0] - snap_tol:
-            return -math.inf
-        best = min(bounds, key=lambda b: abs(b - v))
-        if abs(best - v) <= snap_tol:
-            return best
-        raise ValueError(
-            f"image endpoint {v!r} does not align with the partition "
-            f"(nearest boundary off by {abs(best - v):.2e})")
-
-    rows: list[tuple[int, ...]] = []
-    for (u, w) in partition.intervals:
-        a = endpoint(u, from_right=True)
-        b = endpoint(w, from_right=False)
-        lo, hi = snap(min(a, b)), snap(max(a, b))
-        row = []
-        for (p, q) in partition.intervals:
-            row.append(1 if min(hi, q) - max(lo, p) > 0 else 0)
-        rows.append(tuple(row))
-    return TransitionMatrix(partition, tuple(rows))
+    rows = []
+    for a, b in partition.images:
+        lo, hi = min(a, b), max(a, b)
+        rows.append(tuple([1 if min(hi, q) - max(lo, p) > 0 else 0
+                           for p, q in partition.intervals]))
+    return TransitionMatrix(tuple(rows))
 
 
 # ----------------------------------------------------------------------
@@ -289,8 +267,11 @@ def entropy_point(c: float, horizon: int = 64) -> CurvePoint:
     anything else gets the truncated series, with the horizon grown, up to
     MAX_HORIZON, until the series tail is negligible at the root found.  A
     pole within the first 24 points moves c by the shared nudge schedule;
-    a later one truncates the series there.
+    a later one truncates the series there.  A horizon below 1 raises
+    ValueError, since doubling it would never reach MAX_HORIZON.
     """
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon!r}")
     return nudge_off_poles(lambda c: _entropy_at(c, horizon), c)[1]
 
 

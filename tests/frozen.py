@@ -173,3 +173,9 @@ FREE_ROOT_HEX = {
 # 1.0).hex(), or "none"; 330 of them reach the Sturm fallback and 2 the
 # exact Fraction bisection
 PLANTED_ROOT_DIGEST = "6290d844b3126206a3e6138895bd72664b84c7a0837651ac31ee1ad3b05019a0"
+
+# sha256 over one line "<word> <matrix>\n" (the matrix as its tuple repr)
+# per located admissible cycle word at levels 2-8, in admissible_cycles
+# order: the 135 transition matrices, recorded while the image endpoints
+# were one-sided Richardson limits snapped to the partition boundaries
+WINDOW_MATRIX_DIGEST = "cff3f8b0b918c703d7d100fe22fb0e7cefbdb64844cf9b6895c93df13ad9fd23"

@@ -211,6 +211,35 @@ def test_entropy_curve_rejects_fewer_than_one_worker(monkeypatch, capsys):
         assert capsys.readouterr().err == "error: --workers must be at least 1\n"
 
 
+def test_entropy_curve_rejects_a_horizon_below_one(capsys):
+    # the series horizon doubles towards its cap, which 0 or less never reaches
+    for horizon in ("0", "-4"):
+        assert main(["entropy-curve", "--n", "3", "--horizon", horizon]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: horizon must be at least 1, got {horizon}\n"
+
+
+def test_itinerary_rejects_a_negative_or_nan_tol(capsys):
+    # 3e-11 right of the pole d3 at c = 1: only a tol >= 0 can see the pole
+    start = ["itinerary", "1", "--x0", "0.668740305006422"]
+    assert main(start) == 2
+    assert capsys.readouterr().err.startswith("error: pole proximity")
+    for tol in ("-1", "nan"):
+        assert main(start + ["--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: tol must be a number >= 0, got {float(tol)!r}\n"
+
+
+def test_find_window_rejects_a_negative_or_nan_tol(capsys):
+    for tol in ("-1e-13", "nan"):
+        assert main(["find-window", "RLRC", f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: tol must be a number >= 0, got {float(tol)!r}\n"
+
+
 def test_entropy_curve_with_two_workers_prints_what_one_prints(monkeypatch, capsys):
     import multiprocessing
 

@@ -1,10 +1,11 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from frozen import RLRC_MATRIX, SUPERSTABLE, TRIBONACCI
+from frozen import RLRC_MATRIX, TRIBONACCI, WINDOW_MATRIX_DIGEST
 from quintic_newton.dynamics import find_superstable_parameter, newton_eval
 from quintic_newton.kneading import determinant_polynomial, kneading_determinant
 from quintic_newton.markov import (
@@ -54,22 +55,38 @@ def test_rlrc_transition_matrix_is_exact(c_rlrc):
 
 
 def test_interval_images_align_with_boundaries():
-    # one-sided endpoint images must land back on partition boundaries;
-    # MMMMRC has an orbit point close to a pole, the hardest alignment case
+    # the recorded image of each end is the one-sided limit of N there, as
+    # a Richardson step from inside the interval estimates it; MMMMRC has an
+    # orbit point close to a pole, the hardest alignment case
     for word in ("RLRC", "MRC", "MMMMRC"):
         c = find_superstable_parameter(word)
         part = markov_partition(c)
         bounds = part.boundaries
         inner = 1e-9
-        for lo, hi in part.intervals:
-            for x, sign in ((lo, 1.0), (hi, -1.0)):
+        for (lo, hi), image in zip(part.intervals, part.images):
+            for x, sign, exact in ((lo, 1.0, image[0]), (hi, -1.0, image[1])):
                 if math.isinf(x):
+                    assert exact == x
                     continue
                 v = 2.0 * newton_eval(c, x + sign * inner) - newton_eval(
                     c, x + sign * 2.0 * inner)
-                if v < bounds[0] - 1e-5 or v > bounds[-1] + 1e-5:
-                    continue
-                assert min(abs(v - b) for b in bounds) < 1e-8
+                if exact == math.inf:
+                    assert v > bounds[-1], (word, x)
+                elif exact == -math.inf:
+                    assert v < bounds[0], (word, x)
+                else:
+                    assert abs(v - exact) < 1e-8, (word, x)
+
+
+def test_words_near_c0_cross_check_with_kneading():
+    # at C0 - c = 1.3e-5 and 3.3e-6 the last orbit point lies 1.5e-6 and
+    # 3.8e-7 right of the pole d3, where N is so steep that a Richardson
+    # limit of N there misses its image 0 by 6.6e-7 and 1.1e-5
+    for word in ("MMMMMMMRC", "MMMMMMMMRC"):
+        c = find_superstable_parameter(word)
+        cp = char_poly(transition_matrix(markov_partition(c)))
+        dt = entropy_from_charpoly(cp).t_star - entropy_from_kneading(word).t_star
+        assert abs(dt) <= 1e-10, word
 
 
 def test_char_poly_on_known_matrix():
@@ -116,8 +133,11 @@ def located_matrices(max_level):
 def test_char_poly_matches_the_dense_reference_on_every_window_matrix():
     mats = located_matrices(8)
     assert len(mats) == 135
+    digest = hashlib.sha256()
     for word, _, m in mats:
         assert char_poly(m) == dense_char_poly(m), word
+        digest.update(f"{word} {m}\n".encode())
+    assert digest.hexdigest() == WINDOW_MATRIX_DIGEST
 
 
 def companion(coeffs):

@@ -1,10 +1,13 @@
-"""Every function, class and non-dunder method in the package has a caller.
+"""Every function, class and non-dunder method in the package has a caller,
+and every module-level constant a reader.
 
 A name counts as used when code in ``src/`` or ``perfbench/`` refers to it
 outside its own definition, as a bare name, as an attribute, or through an
 ``import ... as`` alias.  Re-exports in ``__init__.py`` and calls from
 tests do not count, so an API kept alive only by its own tests shows up
-here.
+here.  A constant (an upper-case name assigned at module level) counts as
+read only from ``src/``: the benchmark keeps its own constants, and one of
+the same name there would hide the package's.
 """
 import ast
 from collections import Counter
@@ -32,6 +35,20 @@ def _definitions(tree: ast.Module):
             for item in node.body:
                 if isinstance(item, defs[:2]) and not item.name.startswith("__"):
                     yield f"{node.name}.{item.name}", item
+
+
+def _constants(tree: ast.Module):
+    """(name, node) for each upper-case name assigned at module level."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id.isupper():
+                yield target.id, node
 
 
 def _references(tree: ast.AST) -> Counter:
@@ -73,3 +90,14 @@ def test_every_name_in_the_package_is_used():
         "defined but never used outside tests: " + ", ".join(sorted(dead - TEST_ORACLES))
     # an oracle that gains a caller in the package comes off the list
     assert TEST_ORACLES <= dead, sorted(TEST_ORACLES - dead)
+
+
+def test_every_constant_in_the_package_is_read():
+    read: Counter = Counter()
+    for _, tree in _parsed(PACKAGE):
+        read += _references(tree)
+    unread = sorted(f"{path.stem}.{name}"
+                    for path, tree in _parsed(PACKAGE)
+                    for name, node in _constants(tree)
+                    if read[name] - _references(node)[name] <= 0)
+    assert not unread, "module constants nothing in src/ reads: " + ", ".join(unread)
