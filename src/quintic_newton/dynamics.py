@@ -9,8 +9,8 @@ orbits with (one walker, the generator ``orbit_symbols``, which steps only
 when asked, so n points cost n - 1 steps; one periodic-tail rule; one
 reader, ``OrbitCode.word``, that turns a walk into the word ``itinerary``
 returns; one pole-nudge schedule), and the locator for parameters whose
-critical orbit closes up on a prescribed cycle word (its k-th return is
-halved by ``polynomials.bisect_sign``, as the band roots are).
+critical orbit closes up on a prescribed cycle word (``polynomials.bisect_sign``
+halves its order comparison, then its k-th return, as it does the band roots).
 """
 from __future__ import annotations
 
@@ -94,21 +94,20 @@ class CriticalFrame:
     """The four marked points cutting the line into the coding pieces.
 
     d0 is the real root of f_c left of both poles (unique there for every
-    c > 0), d1 < 0 < d3 are the poles of the Newton map, and d2 = 0 is the
-    free critical point.  d0 is found on first use: only a point left of
-    d1 needs it.
+    c > 0), d1 < 0 < d3 are the poles of the Newton map, and 0 between them
+    is the free critical point.  d0 is found on first use: only a point
+    left of d1 needs it.
     """
 
     c: float
     d1: float
-    d2: float
     d3: float
 
     @functools.cached_property
     def d0(self) -> float:
         c, a, d1 = self.c, -self.c, self.d1
-        # f is positive at d1 (local max) and falls to -inf leftwards:
-        # bracket down until the sign flips, then bisect.
+        # f is positive at d1 (local max) and falls to -inf leftwards: bracket
+        # down until the sign flips, then halve to adjacent floats, f >= 0 at hi
         lo, hi = d1 - 1.0, d1
         while quintic_value(a, 1.0, lo) >= 0.0:
             lo = d1 + 2.0 * (lo - d1)
@@ -145,7 +144,7 @@ def critical_frame(c: float) -> CriticalFrame:
     if not (c > 0.0 and math.isfinite(c)):
         raise ValueError(f"the critical frame needs c > 0, got {c!r}")
     d1 = -((c / 5.0) ** 0.25)
-    return CriticalFrame(c, d1, 0.0, -d1)
+    return CriticalFrame(c, d1, -d1)
 
 
 # ----------------------------------------------------------------------
@@ -277,7 +276,8 @@ def nudge_off_poles(fn, c: float):
     does not raise PoleError; the fourth PoleError propagates.
 
     An orbit meeting a pole is a measure-zero coincidence of the parameter,
-    so a relative step of POLE_NUDGE usually moves off it.
+    so a relative step of POLE_NUDGE usually moves off it; not at 5^(1/5),
+    whose critical value 1/c is the pole d3 and moves ~1e-12 per step.
     """
     for _ in range(POLE_RETRIES):
         try:
@@ -322,15 +322,15 @@ def find_superstable_parameter(word, bracket: tuple[float, float] | None = None,
                                tol: float = 1e-13) -> float:
     """Parameter where the critical orbit closes up on the given cycle word.
 
-    The kneading sequence is monotone in c, so the word's position in the
-    symbolic order pins the parameter down by bisection; each comparison
-    reads the critical orbit against the word's prefix and stops at the
-    first symbol where they differ, which decides the order (a walk that
-    matches up to the horizon compares equal).  ``bisect_sign`` then halves
-    the sign of the k-th return of zero, and a secant from the left end of
-    its bracket polishes the result.  Raises ValueError
-    when the word is not an admissible cycle word, no parameter in the
-    bracket realizes it, or tol is negative or nan.
+    The kneading sequence is monotone in c, so ``bisect_sign`` halves the
+    sign of the word's order against the critical orbit's; each comparison
+    reads the orbit against the word's prefix and stops at the first symbol
+    where they differ (a walk that matches up to the horizon compares equal,
+    and that exact zero ends the halving).  ``bisect_sign`` then halves the
+    sign of the k-th return of zero, and a secant from the left end of its
+    bracket polishes the result.  Raises ValueError when the word is not an
+    admissible cycle word, no parameter in the bracket realizes it, or tol
+    is negative or nan.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be a number >= 0, got {tol!r}")
@@ -361,18 +361,7 @@ def find_superstable_parameter(word, bracket: tuple[float, float] | None = None,
     s_lo, s_hi = side(lo), side(hi)
     if s_lo < 0 or s_hi > 0:
         raise ValueError(f"no parameter for {word} inside bracket ({lo}, {hi})")
-    a, b = lo, hi
-    for _ in range(200):
-        if b - a <= max(tol, 1e-16 * b):
-            break
-        m = 0.5 * (a + b)
-        s = side(m)
-        if s > 0:
-            a = m
-        elif s < 0:
-            b = m
-        else:
-            break  # stream no longer separates: close enough for polishing
+    a, b = bisect_sign(side, lo, hi, s_lo, tol)
 
     def kth_return(c: float) -> float:
         return orbit_points(c, 0.0, k + 1)[-1]
@@ -383,13 +372,13 @@ def find_superstable_parameter(word, bracket: tuple[float, float] | None = None,
             a, b = bisect_sign(kth_return, a, b, ga, tol)
     except PoleError:
         pass  # fall back to the order bisection midpoint
-    c_star = 0.5 * (a + b)
-    residual = abs(kth_return(c_star))
+    cc = c_star = 0.5 * (a + b)
+    gc = kth_return(c_star)
+    residual = abs(gc)
     # secant polish: near the band edge the k-th return is steep in c, so
     # bisection at c-resolution tol can still leave a sizable residual
     try:
         cp, gp = a, kth_return(a)
-        cc, gc = c_star, kth_return(c_star)
         for _ in range(12):
             if gc == 0.0 or gc == gp:
                 break

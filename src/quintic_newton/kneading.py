@@ -352,7 +352,6 @@ def convergent_polynomial(word, *,
 @dataclass
 class PolyTreeNode:
     word: str
-    level: int
     kind: str
     parent: str | None
     edge: str
@@ -387,7 +386,7 @@ def build_polynomial_tree(max_level: int) -> dict[int, list[PolyTreeNode]]:
                     f"recursion and determinant disagree on {node.word}: "
                     f"{poly} vs {check}")
             bucket.append(PolyTreeNode(
-                node.word, node.level, node.kind, node.parent, node.edge,
+                node.word, node.kind, node.parent, node.edge,
                 poly, poly.try_div_exact(one_minus_t)))
         out[level] = bucket
     return out

@@ -73,8 +73,6 @@ def _band_root(f) -> float | None:
 class MarkovPartition:
     """images[i] is (N(u+), N(w-)) for intervals[i] = (u, w)."""
 
-    c: float
-    boundaries: tuple[float, ...]
     intervals: tuple[tuple[float, float], ...]
     images: tuple[tuple[float, float], ...]
 
@@ -143,7 +141,7 @@ def markov_partition(c: float) -> MarkovPartition:
     from_right = {**image, -math.inf: -math.inf, frame.d1: math.inf, frame.d3: -math.inf}
     from_left = {**image, math.inf: math.inf, frame.d1: -math.inf, frame.d3: math.inf}
     images = tuple([(from_right[u], from_left[w]) for u, w in intervals])
-    return MarkovPartition(c, tuple(boundaries), tuple(intervals), images)
+    return MarkovPartition(tuple(intervals), images)
 
 
 def transition_matrix(partition: MarkovPartition) -> TransitionMatrix:
@@ -266,9 +264,10 @@ def entropy_point(c: float, horizon: int = 64) -> CurvePoint:
     periodic tail within the horizon get the exact polynomial treatment;
     anything else gets the truncated series, with the horizon grown, up to
     MAX_HORIZON, until the series tail is negligible at the root found.  A
-    pole within the first 24 points moves c by the shared nudge schedule;
-    a later one truncates the series there.  A horizon below 1 raises
-    ValueError, since doubling it would never reach MAX_HORIZON.
+    pole within the first 24 points moves c by the shared nudge schedule
+    (PoleError when all four tries fail, as at c = 5^(1/5), where 1/c is
+    the pole d3); a later one truncates the series there.  A horizon below
+    1 raises ValueError, since doubling it would never reach MAX_HORIZON.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon!r}")

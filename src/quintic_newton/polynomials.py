@@ -16,8 +16,9 @@ Floating point enters only through ``evaluate`` and the band-root search
 at the bottom, and every float decision there is certified: rounding
 bounds exclude cells and prove a single zero, exact integer signs confirm
 the bisected value, and what floats cannot decide is decided exactly with
-a gcd over Z and Sturm counts.  ``bisect_sign`` is the package's one halving
-of a sign change to a tolerance, here and in the locator's k-th return.
+a gcd over Z and Sturm counts.  ``bisect_sign`` halves a sign change to a
+tolerance here and in both of the locator's halvings, of the kneading order
+and of the k-th return.
 """
 from __future__ import annotations
 
@@ -357,17 +358,17 @@ def bisect_sign(f, a, b, fa, tol):
     """Halve a sign change of f on [a, b] until b - a <= max(tol, 1e-16 * b)
     and return the last bracket (a, b); fa carries the sign of f at a.
 
-    The points may be floats or Fractions.  A midpoint m where f is exactly
-    0 gives (m, m).  Floats stop early at adjacent ends, where the midpoint
-    rounds onto one of them and the bracket cannot shrink.
+    The points may be floats or Fractions.  An exact zero of f at a midpoint
+    ends the halving on the bracket it halved, whose midpoint it is; floats
+    also stop at adjacent ends, where the midpoint rounds onto one of them.
     """
     relative = 1e-16 * b > tol      # b only shrinks: a floor under tol stays under
     while b - a > (max(tol, 1e-16 * b) if relative else tol):
         m = (a + b) / 2
+        if m == a or m == b:
+            break
         fm = f(m)
         if fm == 0:
-            return m, m
-        if m == a or m == b:
             break
         if (fa < 0) != (fm < 0):
             b = m

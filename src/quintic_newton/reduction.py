@@ -12,16 +12,13 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .dynamics import C0, PoleError, newton_step, quintic_value
+from .dynamics import C0, PoleError, newton_step
 
 
 @dataclass(frozen=True)
 class BringJerrardQuintic:
     a: float
     b: float
-
-    def value(self, x: float) -> float:
-        return quintic_value(self.a, self.b, x)
 
     def newton(self, x: float) -> float:
         return newton_step(self.a, self.b, x)
@@ -41,6 +38,9 @@ TANGENT_REL_TOL = 1e-12
 
 
 def classify_regime(c: float) -> Regime:
+    """The regime of x^5 - c*x + 1; a nan c has none and raises ValueError."""
+    if math.isnan(c):
+        raise ValueError("a nan parameter has no regime")
     if c < 0.0:
         return Regime.NEGATIVE_C
     if c == 0.0:
@@ -68,9 +68,6 @@ class ReducedQuintic:
             return -self.c, 1.0
         return {"p_plus": 1.0, "p_minus": -1.0, "p_zero": 0.0}[self.kind], 0.0
 
-    def value(self, x: float) -> float:
-        return quintic_value(*self._coefficients(), x)
-
     def newton(self, x: float) -> float:
         if self.kind == "p_zero":
             return 0.8 * x  # x^5 has a 0/0 at its root; the step is 4x/5
@@ -82,15 +79,20 @@ class ReducedQuintic:
 
 
 def reduce_quintic(q: BringJerrardQuintic) -> ReducedQuintic:
-    """Reduce x^5 + a*x + b; tau(x) = x * scale conjugates the Newton maps."""
+    """Reduce x^5 + a*x + b; tau(x) = x * scale conjugates the Newton maps.
+    ValueError unless a, b and the reduced c and scale are all finite."""
     a, b = q.a, q.b
-    if b == 0.0:
-        if a == 0.0:
-            return ReducedQuintic("p_zero", 0.0, 1.0)
-        kind = "p_plus" if a > 0 else "p_minus"
-        return ReducedQuintic(kind, 0.0, abs(a) ** -0.25)
-    beta = math.copysign(abs(b) ** 0.2, b)
-    return ReducedQuintic("canonical", -a / beta ** 4, 1.0 / beta)
+    if b != 0.0:
+        beta = math.copysign(abs(b) ** 0.2, b)
+        r = ReducedQuintic("canonical", -a / beta ** 4, 1.0 / beta)
+    elif a == 0.0:
+        r = ReducedQuintic("p_zero", 0.0, 1.0)
+    else:
+        r = ReducedQuintic("p_plus" if a > 0 else "p_minus", 0.0, abs(a) ** -0.25)
+    if not all(map(math.isfinite, (a, b, r.c, r.scale))):
+        raise ValueError(f"the reduction needs finite a, b, c and scale, got "
+                         f"a={a!r}, b={b!r}, c={r.c!r}, scale={r.scale!r}")
+    return r
 
 
 @dataclass(frozen=True)

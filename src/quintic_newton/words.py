@@ -301,7 +301,6 @@ class TreeNode:
     """
 
     word: str
-    level: int
     kind: str
     parent: str | None = None
     edge: str = ""
@@ -360,7 +359,7 @@ def generate_tree(max_level: int) -> dict[int, list[TreeNode]]:
                 else:
                     parent, edge = _nearest_admissible_ancestor(cycle, cycles_so_far)
                     edge = edge + "A"
-            bucket.append(TreeNode(w, k, kind, parent, edge))
+            bucket.append(TreeNode(w, kind, parent, edge))
         levels[k] = bucket
     return levels
 

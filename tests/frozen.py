@@ -166,6 +166,7 @@ FREE_ROOT_HEX = {
     1.0: "-0x1.2ad46efb1f9cfp+0",
     1.6: "-0x1.3ebd4c376fbcfp+0",
     1.649: "-0x1.403ad284b7fb4p+0",
+    1000.0: "-0x1.67ea1927d4d38p+2",   # f(d1 - 1) > 0: the bracket widens
 }
 
 # sha256 over one line per polynomial of test_polynomials.planted_root_polys

@@ -201,6 +201,16 @@ def test_reduce_rejects_a_negative_point_count(capsys):
     assert captured.err == "error: --points must not be negative\n"
 
 
+def test_reduce_rejects_non_finite_coefficients_and_overflow(capsys):
+    # nan and inf coefficients, and a finite pair whose c = -a/|b|^(4/5)
+    # overflows to -inf, have no canonical form
+    for a, b in (("nan", "1"), ("-3", "inf"), ("1e308", "1e-300")):
+        assert main(["reduce", "--points", "0", a, b]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the reduction needs finite a, b, c and scale")
+
+
 def test_entropy_curve_rejects_fewer_than_one_worker(monkeypatch, capsys):
     def no_curve(*args, **kwargs):
         raise AssertionError("the curve (and its pool) must not start")
@@ -238,6 +248,26 @@ def test_find_window_rejects_a_negative_or_nan_tol(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: tol must be a number >= 0, got {float(tol)!r}\n"
+
+
+def test_find_window_takes_both_bracket_ends_or_neither(capsys):
+    assert main(["find-window", "RLRC", "--lo", "1.0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: give both --lo and --hi or neither\n"
+    assert main(["find-window", "RLRC", "--lo", "1.0", "--hi", "1.6"]) == 0
+    out = capsys.readouterr().out
+    c = float([l for l in out.splitlines() if l.startswith("c =")][0][4:])
+    assert abs(c - SUPERSTABLE["RLRC"]) < 1e-9
+
+
+def test_entropy_curve_fails_where_every_nudge_meets_the_pole(capsys):
+    # the grid starts at c = 5^(1/5), whose critical value 1/c is the pole d3
+    argv = ["entropy-curve", "--lo", "1.379729661461215", "--hi", "1.4", "--n", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: pole proximity")
 
 
 def test_entropy_curve_with_two_workers_prints_what_one_prints(monkeypatch, capsys):

@@ -63,7 +63,7 @@ def test_newton_eval_raises_on_pole():
 
 def test_critical_frame_structure():
     f = critical_frame(1.0)
-    assert f.d0 < f.d1 < f.d2 == 0.0 < f.d3
+    assert f.d0 < f.d1 < 0.0 < f.d3
     assert abs(quintic_value(-1.0, 1.0, f.d0)) < 1e-10
     assert abs(f.d3 - 0.2 ** 0.25) < 1e-12
     assert f.d1 == -f.d3
@@ -161,7 +161,7 @@ def test_locator_stops_each_walk_at_the_deciding_symbol(monkeypatch):
 
     # 72,270 steps when each comparison walked k+1, 2(k+1), ... points and
     # re-walked the prefix it had already coded
-    assert count_newton_steps(monkeypatch, locate_levels_2_to_8) <= 50_489
+    assert count_newton_steps(monkeypatch, locate_levels_2_to_8) <= 49_319
 
 
 def test_orbit_symbols_steps_only_when_asked(monkeypatch):

@@ -6,7 +6,12 @@ from fractions import Fraction
 import pytest
 
 from frozen import RLRC_MATRIX, TRIBONACCI, WINDOW_MATRIX_DIGEST
-from quintic_newton.dynamics import find_superstable_parameter, newton_eval
+from quintic_newton.dynamics import (
+    PoleError,
+    critical_frame,
+    find_superstable_parameter,
+    newton_eval,
+)
 from quintic_newton.kneading import determinant_polynomial, kneading_determinant
 from quintic_newton.markov import (
     char_poly,
@@ -39,14 +44,20 @@ def test_critical_orbit_closes_at_cycle_parameters(c_rlrc):
 
 def test_partition_structure(c_rlrc):
     part = markov_partition(c_rlrc)
-    assert len(part.boundaries) == 7
-    assert list(part.boundaries) == sorted(part.boundaries)
+    frame = critical_frame(c_rlrc)
+    ends = [x for interval in part.intervals for x in interval]
+    assert ends == sorted(ends)
+    assert all(lo < hi for lo, hi in part.intervals)
+    # the 7 cut points are d0, d1, d3 and the 4 orbit points
+    assert len(set(ends) - {-math.inf, math.inf}) == 7
     assert len(part.intervals) == 7
     assert part.intervals[0][0] == -math.inf
     assert part.intervals[-1][1] == math.inf
-    # the transient gap between the free root and the left pole is dropped
-    spans = [b for a, b in part.intervals]
-    assert part.boundaries[1] not in spans
+    # the intervals abut except across the transient gap between the free
+    # root and the left pole, which is dropped
+    gaps = [(hi, lo) for (_, hi), (lo, _) in zip(part.intervals, part.intervals[1:])
+            if hi != lo]
+    assert gaps == [(frame.d0, frame.d1)]
 
 
 def test_rlrc_transition_matrix_is_exact(c_rlrc):
@@ -61,7 +72,7 @@ def test_interval_images_align_with_boundaries():
     for word in ("RLRC", "MRC", "MMMMRC"):
         c = find_superstable_parameter(word)
         part = markov_partition(c)
-        bounds = part.boundaries
+        leftmost, rightmost = part.intervals[0][1], part.intervals[-1][0]
         inner = 1e-9
         for (lo, hi), image in zip(part.intervals, part.images):
             for x, sign, exact in ((lo, 1.0, image[0]), (hi, -1.0, image[1])):
@@ -71,9 +82,9 @@ def test_interval_images_align_with_boundaries():
                 v = 2.0 * newton_eval(c, x + sign * inner) - newton_eval(
                     c, x + sign * 2.0 * inner)
                 if exact == math.inf:
-                    assert v > bounds[-1], (word, x)
+                    assert v > rightmost, (word, x)
                 elif exact == -math.inf:
-                    assert v < bounds[0], (word, x)
+                    assert v < leftmost, (word, x)
                 else:
                     assert abs(v - exact) < 1e-8, (word, x)
 
@@ -173,6 +184,13 @@ def test_char_poly_on_one_by_one_and_zero_matrices():
         assert char_poly(zero).to_list() == [1]
 
 
+def test_a_nilpotent_matrix_has_no_band_root_and_zero_entropy():
+    p = char_poly(((0, 1), (0, 0)))
+    assert p.to_list() == [1]
+    res = entropy_from_charpoly(p)
+    assert (res.t_star, res.h) == (1.0, 0.0)
+
+
 def test_lap_growth_matches_dense_path_totals():
     for word, c, m in located_matrices(5):
         P, totals = [list(r) for r in m], []
@@ -230,6 +248,17 @@ def test_entropy_point_methods(c_rlrc):
     pt = entropy_point(1.55, horizon=48)
     assert pt.method in ("kneading", "kneading-series")
     assert 0.7 < pt.entropy < 0.8
+
+
+def test_entropy_point_raises_where_the_critical_value_is_a_pole():
+    # at c = 5^(1/5) the critical value 1/c is the right pole (c/5)^(1/4);
+    # each nudge moves 1/c by about 1e-12, far inside the 1e-10 pole window,
+    # so all four parameters fail at the first point
+    c = 5 ** 0.2
+    assert abs(1.0 / c - critical_frame(c).d3) < 1e-15
+    with pytest.raises(PoleError) as info:
+        entropy_point(c)
+    assert info.value.iteration == 0
 
 
 def test_entropy_curve_grid_and_monotonicity():

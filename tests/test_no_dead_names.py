@@ -1,5 +1,5 @@
 """Every function, class and non-dunder method in the package has a caller,
-and every module-level constant a reader.
+every module-level constant a reader, and every record field a reader.
 
 A name counts as used when code in ``src/`` or ``perfbench/`` refers to it
 outside its own definition, as a bare name, as an attribute, or through an
@@ -7,7 +7,9 @@ outside its own definition, as a bare name, as an attribute, or through an
 tests do not count, so an API kept alive only by its own tests shows up
 here.  A constant (an upper-case name assigned at module level) counts as
 read only from ``src/``: the benchmark keeps its own constants, and one of
-the same name there would hide the package's.
+the same name there would hide the package's.  A field (an annotated name
+in the body of a dataclass or a NamedTuple) counts as read when code in
+``src/`` or ``perfbench/`` reads an attribute of that name.
 """
 import ast
 from collections import Counter
@@ -49,6 +51,21 @@ def _constants(tree: ast.Module):
         for target in targets:
             if isinstance(target, ast.Name) and target.id.isupper():
                 yield target.id, node
+
+
+def _fields(tree: ast.Module):
+    """(qualified name, field) for each annotated name in the body of a
+    top-level dataclass or NamedTuple."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        marks = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        marks += node.bases
+        if any(isinstance(m, ast.Name) and m.id in ("dataclass", "NamedTuple")
+               for m in marks):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}", item.target.id
 
 
 def _references(tree: ast.AST) -> Counter:
@@ -101,3 +118,16 @@ def test_every_constant_in_the_package_is_read():
                     for name, node in _constants(tree)
                     if read[name] - _references(node)[name] <= 0)
     assert not unread, "module constants nothing in src/ reads: " + ", ".join(unread)
+
+
+def test_every_record_field_is_read():
+    read = {node.attr
+            for directory in CALLER_DIRS for _, tree in _parsed(directory)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = sorted(f"{path.stem}.{qualname}"
+                    for path, tree in _parsed(PACKAGE)
+                    for qualname, name in _fields(tree)
+                    if name not in read)
+    assert not unread, "record fields nothing in src/ or perfbench/ reads: " \
+        + ", ".join(unread)

@@ -142,7 +142,10 @@ def test_bisect_sign_closes_the_bracket_to_tol(kind):
 @pytest.mark.parametrize("kind", [float, Fraction], ids=["float", "fraction"])
 def test_bisect_sign_stops_on_an_exact_zero(kind):
     f = IntPolynomial([3, -8]).sign_at              # zero at 3/8, the third midpoint
-    assert bisect_sign(f, kind(0), kind(1), 1, 1e-13) == (Fraction(3, 8),) * 2
+    a, b = bisect_sign(f, kind(0), kind(1), 1, 1e-13)
+    # the halving ends with the bracket it was halving, centred on the zero
+    assert (a, b) == (Fraction(1, 4), Fraction(1, 2))
+    assert (a + b) / 2 == Fraction(3, 8)
 
 
 def test_bisect_sign_stops_below_tol_at_the_floors():

@@ -48,6 +48,16 @@ def test_regimes():
     assert reduce_quintic(BringJerrardQuintic(3.0, 0.0)).regime is None
     r = ReducedQuintic("canonical", 1.2, 1.0)
     assert r.regime is Regime.WINDOW_BAND
+    with pytest.raises(ValueError):
+        classify_regime(math.nan)
+
+
+def test_reduce_rejects_non_finite_input_and_overflow():
+    # a or b non-finite, or -a / |b|^(4/5) overflowing to -inf
+    for a, b in ((math.nan, 1.0), (-3.0, math.inf), (1e308, 1e-300),
+                 (math.inf, 0.0), (-math.inf, 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            reduce_quintic(BringJerrardQuintic(a, b))
 
 
 def test_conjugacy_residuals_are_tiny():
@@ -84,13 +94,17 @@ def test_values_agree_under_scaling():
     q = BringJerrardQuintic(-2.0, 3.0)
     r = reduce_quintic(q)
     for x in (-1.7, 0.3, 2.2):
-        assert abs(r.value(x * r.scale) - q.value(x) / q.b) < 1e-12
-    # x^5 - c*x + 1 is the quintic with a = -c, b = 1: bitwise the same step
+        reduced = quintic_value(-r.c, 1.0, x * r.scale)
+        assert abs(reduced - quintic_value(q.a, q.b, x) / q.b) < 1e-12
+    # x^5 - c*x + 1 is the quintic with a = -c, b = 1: it reduces to itself
+    # and takes bitwise the same step
     rng = random.Random(5)
     for _ in range(2000):
         c = rng.uniform(-3.0, 3.0)
         x = rng.choice((rng.uniform(-2.0, 2.0), rng.uniform(-1e3, 1e3),
                         rng.uniform(-1.0, 1.0) * 1e70))
         q = BringJerrardQuintic(-c, 1.0)
+        r = reduce_quintic(q)
+        assert (r.kind, r.c, r.scale) == ("canonical", c, 1.0), c
         assert q.newton(x) == newton_eval(c, x), (c, x)
-        assert q.value(x) == quintic_value(-c, 1.0, x), (c, x)
+        assert r.newton(x) == newton_eval(c, x), (c, x)
