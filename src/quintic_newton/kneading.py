@@ -6,8 +6,11 @@ their invariant coordinates is a row over the five interval symbols, held
 as integer polynomial numerators over one factor (1 - t^q) per row.
 Deleting one column of the resulting 4 x 5 matrix, taking the determinant
 of the numerators and dividing by the row factors and by (1 - eps*t) gives
-a determinant D(t) that does not depend on the deleted column.  For a
-critical cycle of length k the combination
+a determinant D(t) that does not depend on the deleted column.  Only the
+zero's row depends on the word, so D is taken as the expansion along that
+row: the other three rows give each struck column's cofactors once, at
+import, with the (1 - t^m) factors they share cancelled against the
+denominator in advance.  For a critical cycle of length k the combination
 
     P(t) = D(t) * (1 - t)^2 * (1 - t^k)
 
@@ -174,41 +177,86 @@ def _det(rows: list[Sequence[IntPolynomial]]) -> IntPolynomial:
     return acc
 
 
+def _signed_cofactors(j: int) -> list[IntPolynomial]:
+    """The cofactors of the zero row, nu_2, in the increment matrix with
+    column j struck out, one per column of ALPHABET (zero at j).  Only the
+    three universal rows enter them, so they do not depend on the word."""
+    rows = [_UNIVERSAL_ROWS[i] for i in (0, 1, 3)]
+    out = [IntPolynomial()] * len(ALPHABET)
+    cols = [c for c in range(len(ALPHABET)) if c != j]
+    for p, c in enumerate(cols):
+        minor = _det([[r[d] for d in cols if d != c] for r in rows])
+        out[c] = minor if p % 2 == 0 else -minor
+    return out
+
+
+def _column_oracle(j: int) -> tuple[tuple[IntPolynomial, ...], tuple[int, ...]]:
+    """D's cofactors for struck column j and the denominator exponents that
+    stay once the (1 - t^m) factors all the cofactors share are cancelled.
+
+    The struck column contributes its sign (-1)^j and the division by
+    (1 - eps*t), written as (1 - t) or, for eps = -1, as (1 - t) / (1 - t^2);
+    the universal rows contribute (1 - t)^3.  nu_2's own row factor
+    (1 - t^q) belongs to the word and is added per call."""
+    cofactors = _signed_cofactors(j)
+    factors = [1, 1, 1]
+    if j % 2 == 1:
+        cofactors = [-k for k in cofactors]
+    if COLUMN_SIGNS[j] > 0:
+        factors.append(1)
+    else:
+        cofactors = [k - k.shift(1) for k in cofactors]    # * (1 - t)
+        factors.append(2)
+    for m in sorted(factors, reverse=True):
+        cut = IntPolynomial.one_minus_t_power(m)
+        quotients = [k.try_div_exact(cut) for k in cofactors]
+        if None not in quotients:
+            cofactors = quotients
+            factors.remove(m)
+    return tuple(cofactors), tuple(factors)
+
+
+_COLUMN_ORACLES = {s: _column_oracle(j) for j, s in enumerate(ALPHABET)}
+
+
 def kneading_determinant(word, column: str = "B") -> RationalFunctionInT:
     """D(t) from the increment matrix with one column struck out.
 
-    The result is independent of the choice of column.  The determinant of
-    the integer numerators sits over the product of the four row factors;
-    the struck column's slope sign eps enters through the final division
-    by (1 - eps*t).
+    The result is independent of the choice of column.  Only the zero row
+    nu_2 depends on the word, so the determinant is the expansion along it:
+    nu_2's numerators times the struck column's cofactors, which are
+    computed once at import with their shared (1 - t^m) factors already
+    cancelled against the denominator, over what is left of it and nu_2's
+    own (1 - t^q).
     """
-    j = _IDX[column]
-    rows = [kneading_increment(i, word) for i in range(4)]
-    det = _det([nums[:j] + nums[j + 1:] for nums, _ in rows])
-    factors = [q for _, q in rows]
-    if j % 2 == 1:
-        det = -det
-    if COLUMN_SIGNS[j] > 0:
-        factors.append(1)                        # / (1 - t)
-    else:
-        # / (1 + t), written exactly as * (1 - t) / (1 - t^2)
-        det = det * IntPolynomial.one_minus_t_power(1)
-        factors.append(2)
-    return RationalFunctionInT(det, factors)
+    cofactors, factors = _COLUMN_ORACLES[column]
+    nu, q = kneading_increment(2, word)
+    num = IntPolynomial()
+    for a, k in zip(nu, cofactors):
+        if not (a.is_zero() or k.is_zero()):
+            num = num + a * k
+    return RationalFunctionInT(num, factors + (q,))
 
 
 def determinant_polynomial(word) -> IntPolynomial:
     """The cleared integer form of D for a cycle or convergent word.
 
     Cycle words clear (1-t)^2 (1-t^k); convergent words clear (1-t)^2.
-    Raises ArithmeticError if the product fails to be a polynomial, which
-    would mean the word does not carry a consistent increment."""
+    These cancel exponents of D's denominator, which holds (1 - t)^2 and,
+    for a cycle word, whose side streams repeat a block of length k and
+    slope sign +1, also (1 - t^k); the numerator is divided only by the
+    factors that remain.  Raises ArithmeticError if the result fails to be
+    a polynomial, which would mean the word does not carry a consistent
+    increment."""
     word = as_word(word)
     D = kneading_determinant(word)
-    out = D.num * IntPolynomial([1, -2, 1])      # (1 - t)^2
-    if word.is_cycle():
-        out = out * IntPolynomial.one_minus_t_power(len(word.head))
-    return out.div_exact(D.den)
+    factors = list(D.den_factors)
+    for m in (1, 1, len(word.head)) if word.is_cycle() else (1, 1):
+        factors.remove(m)
+    out = D.num
+    for m in factors:
+        out = out.div_exact(IntPolynomial.one_minus_t_power(m))
+    return out
 
 
 # ----------------------------------------------------------------------

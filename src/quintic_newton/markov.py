@@ -21,6 +21,7 @@ import operator
 from dataclasses import dataclass
 
 from .dynamics import (
+    C0,
     STOP_POLE,
     critical_frame,
     newton_eval,
@@ -267,11 +268,22 @@ def entropy_point(c: float, horizon: int = 64) -> CurvePoint:
     pole within the first 24 points moves c by the shared nudge schedule
     (PoleError when all four tries fail, as at c = 5^(1/5), where 1/c is
     the pole d3); a later one truncates the series there.  A horizon below
-    1 raises ValueError, since doubling it would never reach MAX_HORIZON.
+    1 raises ValueError, since doubling it would never reach MAX_HORIZON,
+    and so does c >= C0 (see ``_check_below_c0``).
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon!r}")
+    _check_below_c0(c)
     return nudge_off_poles(lambda c: _entropy_at(c, horizon), c)[1]
+
+
+def _check_below_c0(c: float) -> None:
+    """From C0 on the quintic has three real roots, and the critical orbit
+    falls into the attracting root in M: the coding reads it as the word
+    (M)^, whose entropy belongs to no parameter of the family."""
+    if not c < C0:
+        raise ValueError(f"c = {c!r} is not below C0 = {C0!r}; from C0 on "
+                         f"the quintic has more than one real root")
 
 
 def _entropy_at(c: float, H: int) -> CurvePoint:
@@ -309,6 +321,7 @@ def entropy_curve(c_lo: float, c_hi: float, n: int,
         raise ValueError("need at least two grid points")
     if not (0.0 < c_lo < c_hi):
         raise ValueError(f"bad parameter range ({c_lo}, {c_hi})")
+    _check_below_c0(c_hi)
     cs = [c_lo + (c_hi - c_lo) * i / (n - 1) for i in range(n)]
     if workers > 1:
         import multiprocessing as mp

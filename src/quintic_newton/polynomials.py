@@ -9,8 +9,10 @@ raises (``div_exact``) when it does not come out even over Z.  The kneading
 algebra works on integer numerators; the determinant oracle hands its
 result out once as a ``RationalFunctionInT``, a value type that holds an
 integer numerator over an explicit multiset of (1 - t^m) factors, the only
-denominator the coding produces.  It compares and reduces but does no
-arithmetic: callers compute on ``num`` and ``den``.
+denominator the coding produces.  It compares but does no arithmetic:
+callers compute on ``num`` and ``den_factors``, cancelling factors by
+exponent and dividing by what is left, which for (1 - t^m) costs time
+linear in the degree.
 
 Floating point enters only through ``evaluate`` and the band-root search
 at the bottom, and every float decision there is certified: rounding
@@ -135,7 +137,11 @@ class IntPolynomial:
         return IntPolynomial._trusted([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "IntPolynomial":
-        return self + (-self._coerce(other))
+        a, b = self.coeffs, self._coerce(other).coeffs
+        out = [x - y for x, y in zip(a, b)]
+        out.extend(a[len(b):])
+        out.extend(-y for y in b[len(a):])
+        return IntPolynomial._trusted(out)
 
     def __mul__(self, other) -> "IntPolynomial":
         other = self._coerce(other)
@@ -161,11 +167,13 @@ class IntPolynomial:
     def try_div_exact(self, other: "IntPolynomial") -> "IntPolynomial | None":
         """self / other when the division is exact over Z: None as soon as a
         quotient coefficient is not an integer or when a remainder is left;
-        a zero divisor raises ZeroDivisionError."""
+        a zero divisor raises ZeroDivisionError.  Each step touches only the
+        divisor's nonzero terms, so dividing by 1 - t^m is linear."""
         div = self._coerce(other).coeffs
         if not div:
             raise ZeroDivisionError("polynomial division by zero")
         rem, dn, lead = list(self.coeffs), len(div), div[-1]
+        terms = [(j, d) for j, d in enumerate(div) if d]
         quot = [0] * max(1, len(rem) - dn + 1)
         for i in range(len(rem) - dn, -1, -1):
             f, r = divmod(rem[i + dn - 1], lead)
@@ -173,7 +181,7 @@ class IntPolynomial:
                 return None
             quot[i] = f
             if f:
-                for j, d in enumerate(div):
+                for j, d in terms:
                     rem[i + j] -= f * d
         return None if any(rem) else IntPolynomial._trusted(quot)
 
@@ -244,8 +252,7 @@ class RationalFunctionInT:
 
     A value type with no arithmetic of its own: callers work on ``num``
     and ``den`` as integer polynomials.  The denominator is stored as a
-    multiset of exponents m, unreduced; ``reduce()`` cancels factors that
-    divide the numerator exactly and returns a canonical representative.
+    multiset of exponents m, as the producer wrote it, not reduced.
     Equality with another ``RationalFunctionInT`` is cross-multiplied and
     therefore representation independent.
     """
@@ -276,19 +283,6 @@ class RationalFunctionInT:
         if not isinstance(other, RationalFunctionInT):
             return NotImplemented
         return self.num * other.den == other.num * self.den
-
-    def reduce(self) -> "RationalFunctionInT":
-        """Cancel denominator factors dividing the numerator; canonical up
-        to the factor multiset ordering (which is sorted)."""
-        num = self.num
-        remaining: list[int] = []
-        for m in sorted(self.den_factors, reverse=True):
-            q = num.try_div_exact(IntPolynomial.one_minus_t_power(m))
-            if q is not None:
-                num = q
-            else:
-                remaining.append(m)
-        return RationalFunctionInT(num, remaining)
 
 
 # ----------------------------------------------------------------------

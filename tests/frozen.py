@@ -134,11 +134,13 @@ RLRC_MATRIX = (
 # growth rate 1/t* of 1 - t - t^2 - t^3 (shared plateau of RC and RLRC)
 TRIBONACCI = 1.8392867552141612
 
-# reduced kneading numerators of the plateau tails
+# kneading determinants of the plateau tails as (numerator, denominator
+# exponents m of prod (1 - t^m)), with no factor left that divides the
+# numerator
 PERIODIC_NUMERATORS = {
-    ("M", 0): [1, -2, -1],
-    ("RM", 0): [1, -1, -1, -1],
-    ("RL", 0): [1, 0, -2, -2, -1],
+    ("M", 0): ([1, -2, -1], (1, 1, 1)),
+    ("RM", 0): ([1, -1, -1, -1], (1, 1, 2)),
+    ("RL", 0): ([1, 0, -2, -2, -1], (1, 4)),
 }
 
 # sha256 of what `tree --max-level 10 --format json` prints

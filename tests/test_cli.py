@@ -270,6 +270,16 @@ def test_entropy_curve_fails_where_every_nudge_meets_the_pole(capsys):
     assert captured.err.startswith("error: pole proximity")
 
 
+def test_entropy_curve_rejects_parameters_from_c0_on(capsys):
+    # above C0 the orbit falls into the attracting root in M, which would
+    # read as the word (M)^ with entropy log(1 + sqrt(2))
+    for lo, hi in (("2", "3"), ("1.6", "1.6493848884661177")):
+        assert main(["entropy-curve", "--lo", lo, "--hi", hi, "--n", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: c = {float(hi)!r} is not below C0")
+
+
 def test_entropy_curve_with_two_workers_prints_what_one_prints(monkeypatch, capsys):
     import multiprocessing
 

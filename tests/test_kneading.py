@@ -26,6 +26,7 @@ from quintic_newton.words import (
     TAIL_PERIODIC,
     admissible_convergents,
     admissible_cycles,
+    generate_tree,
     parse_parent,
 )
 
@@ -41,15 +42,18 @@ def test_rlrc_determinant_closed_form():
     assert D == RationalFunctionInT(num, (1, 4))
 
 
+# cycle strings, periodic blocks with sigma = +1 (RM, MR) and -1 (RL, RLM),
+# and an A-tail
+COLUMN_WORDS = ["RC", "MRC", "RLRC", "MMRRC",
+                SymbolWord("RM", TAIL_PERIODIC, 0),
+                SymbolWord("RRLRMR", TAIL_PERIODIC, 4),
+                SymbolWord("RL", TAIL_PERIODIC, 0),
+                SymbolWord("RRRLM", TAIL_PERIODIC, 2),
+                SymbolWord("RMMRLRA", TAIL_A_INF)]
+
+
 def test_determinant_is_column_independent():
-    # cycle strings, periodic blocks with sigma = +1 (RM, MR) and -1 (RL,
-    # RLM), and an A-tail
-    for word in ("RC", "MRC", "RLRC", "MMRRC",
-                 SymbolWord("RM", TAIL_PERIODIC, 0),
-                 SymbolWord("RRLRMR", TAIL_PERIODIC, 4),
-                 SymbolWord("RL", TAIL_PERIODIC, 0),
-                 SymbolWord("RRRLM", TAIL_PERIODIC, 2),
-                 SymbolWord("RMMRLRA", TAIL_A_INF)):
+    for word in COLUMN_WORDS:
         values = [kneading_determinant(word, column=col)
                   for col in "ABLMR"]
         assert all(v == values[0] for v in values[1:])
@@ -66,10 +70,61 @@ def test_convergent_polynomials_match_frozen_table():
 
 
 def test_periodic_tail_numerators():
-    for (head, start), coeffs in PERIODIC_NUMERATORS.items():
+    for (head, start), (coeffs, factors) in PERIODIC_NUMERATORS.items():
         w = SymbolWord(head, TAIL_PERIODIC, start)
-        num = kneading_determinant(w).reduce().num
-        assert num.to_list() == coeffs, head
+        num = IntPolynomial(coeffs)
+        assert kneading_determinant(w) == RationalFunctionInT(num, factors), head
+        # the frozen form is reduced: no factor left divides its numerator
+        for m in factors:
+            assert num.try_div_exact(IntPolynomial.one_minus_t_power(m)) is None, head
+
+
+def laplace_determinant(word, column):
+    """D(t) by the plain Laplace expansion of the 4 x 4 numerator matrix
+    with ``column`` struck out, over the four row factors and (1 - eps*t):
+    the reference the expansion along the zero row must match."""
+    j = "ABLMR".index(column)
+    rows = [kneading_increment(i, word) for i in range(4)]
+
+    def det(rows):
+        if len(rows) == 1:
+            return rows[0][0]
+        acc = IntPolynomial()
+        for c, a in enumerate(rows[0]):
+            term = a * det([r[:c] + r[c + 1:] for r in rows[1:]])
+            acc = acc + term if c % 2 == 0 else acc - term
+        return acc
+
+    num = det([list(nums[:j]) + list(nums[j + 1:]) for nums, _ in rows])
+    factors = [q for _, q in rows]
+    if j % 2 == 1:
+        num = -num
+    if kneading.COLUMN_SIGNS[j] > 0:
+        factors.append(1)
+    else:
+        num = num * IntPolynomial.one_minus_t_power(1)     # 1/(1+t) = (1-t)/(1-t^2)
+        factors.append(2)
+    return RationalFunctionInT(num, factors)
+
+
+def test_expansion_along_the_zero_row_matches_the_laplace_reference():
+    words = [n.word for nodes in generate_tree(8).values() for n in nodes]
+    assert len(words) == 259
+    words += COLUMN_WORDS
+    for word in words:
+        for col in "ABLMR":
+            assert kneading_determinant(word, column=col) == \
+                laplace_determinant(word, col), (word, col)
+
+
+def test_column_b_cofactors_have_their_closed_forms():
+    # the cofactors of the zero row with B struck out, by column A B L M R;
+    # the three nonzero ones share the factor 1 - t^2
+    cofactors = kneading._signed_cofactors("ABLMR".index("B"))
+    assert [k.to_list() for k in cofactors] == [
+        [], [], [0, -1, 0, 1], [-1, 2, 1, -2], [-1, 1, 1, -1]]
+    one_minus_t2 = IntPolynomial.one_minus_t_power(2)
+    assert all(k.try_div_exact(one_minus_t2) is not None for k in cofactors)
 
 
 def test_increments_reject_bad_input():

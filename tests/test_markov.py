@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import random
@@ -7,6 +8,7 @@ import pytest
 
 from frozen import RLRC_MATRIX, TRIBONACCI, WINDOW_MATRIX_DIGEST
 from quintic_newton.dynamics import (
+    C0,
     PoleError,
     critical_frame,
     find_superstable_parameter,
@@ -25,7 +27,7 @@ from quintic_newton.markov import (
     markov_partition,
     transition_matrix,
 )
-from quintic_newton.polynomials import IntPolynomial
+from quintic_newton.polynomials import IntPolynomial, RationalFunctionInT
 from quintic_newton.words import SymbolWord, TAIL_PERIODIC, admissible_cycles
 
 
@@ -129,6 +131,7 @@ def dense_char_poly(M):
     return IntPolynomial([(-1) ** j * int(ej) for j, ej in enumerate(e)])
 
 
+@functools.cache
 def located_matrices(max_level):
     out = []
     for level in range(2, max_level + 1):
@@ -277,5 +280,21 @@ def test_kneading_numerator_accepts_both_forms():
     assert kneading_numerator("RLRC") == determinant_polynomial("RLRC")
     w = SymbolWord("RLRC", TAIL_PERIODIC, 0)
     assert kneading_numerator(w) == kneading_numerator("RLRC")
-    # the oracle's greedy reduction keeps its own normal form
-    assert kneading_determinant(w).reduce().num.to_list() == [1, 0, -2, -2, -1]
+    # the oracle's value, in the reduced form of the frozen RL plateau
+    assert kneading_determinant(w) == RationalFunctionInT(
+        IntPolynomial([1, 0, -2, -2, -1]), (1, 4))
+
+
+def test_entropy_point_rejects_parameters_from_c0_on():
+    # the coding would read the orbit falling into the root in M as (M)^
+    for c in (2.0, C0):
+        with pytest.raises(ValueError, match="is not below C0"):
+            entropy_point(c)
+
+
+def test_markov_and_kneading_routes_agree_exactly_on_every_window():
+    # det(I - tM) = (1 - t) * S(t) for every located cycle word at levels 2-8
+    one_minus_t = IntPolynomial.one_minus_t_power(1)
+    for word, _, m in located_matrices(8):
+        cp, kn = char_poly(m), kneading_numerator(word)
+        assert cp == one_minus_t * kn, f"{word}: char_poly {cp}, (1 - t) * {kn}"

@@ -19,12 +19,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "quintic_newton"
 CALLER_DIRS = (PACKAGE, ROOT / "perfbench")
 
-# names only tests call, kept because tests compare against them
-TEST_ORACLES = {
-    # the normal form the frozen PERIODIC_NUMERATORS table is written in
-    "polynomials.RationalFunctionInT.reduce",
-}
-
 
 def _definitions(tree: ast.Module):
     """(qualified name, node) for each top-level def/class and each method
@@ -103,10 +97,7 @@ def _test_only_names() -> set[str]:
 
 def test_every_name_in_the_package_is_used():
     dead = _test_only_names()
-    assert not dead - TEST_ORACLES, \
-        "defined but never used outside tests: " + ", ".join(sorted(dead - TEST_ORACLES))
-    # an oracle that gains a caller in the package comes off the list
-    assert TEST_ORACLES <= dead, sorted(TEST_ORACLES - dead)
+    assert not dead, "defined but never used outside tests: " + ", ".join(sorted(dead))
 
 
 def test_every_constant_in_the_package_is_read():

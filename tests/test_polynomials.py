@@ -90,7 +90,7 @@ def test_division_inverts_multiplication(a, b):
     assert (p * q).div_exact(q) == p
 
 
-def test_rational_function_equality_and_reduce():
+def test_rational_function_equality():
     one = IntPolynomial([1])
     num = IntPolynomial([1, 1]) * IntPolynomial([1, -1, -1, -1])
     d = RationalFunctionInT(num, (1, 4))
@@ -98,8 +98,10 @@ def test_rational_function_equality_and_reduce():
     cleared = RationalFunctionInT(d.num * one.one_minus_t_power(1) *
                                   one.one_minus_t_power(4), d.den_factors)
     assert cleared == RationalFunctionInT(num, ())
-    assert cleared.reduce().den_factors == ()
-    assert cleared.reduce().num == num
+    # the same value over another factor multiset, and a different value
+    assert d == RationalFunctionInT(num * one.one_minus_t_power(2), (4, 2, 1))
+    assert d != RationalFunctionInT(num, (1, 2, 4))
+    assert d != RationalFunctionInT(num * 2, (1, 4))
     # a value type: it compares only with another RationalFunctionInT
     assert RationalFunctionInT(num, ()) != num
 
