@@ -31,6 +31,7 @@ tested against.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -177,15 +178,19 @@ def _det(rows: list[Sequence[IntPolynomial]]) -> IntPolynomial:
     return acc
 
 
+# the 3 x 3 minors of the three universal rows, by the columns they keep
+_MINORS = {cols: _det([[_UNIVERSAL_ROWS[i][c] for c in cols] for i in (0, 1, 3)])
+           for cols in itertools.combinations(range(len(ALPHABET)), 3)}
+
+
 def _signed_cofactors(j: int) -> list[IntPolynomial]:
     """The cofactors of the zero row, nu_2, in the increment matrix with
     column j struck out, one per column of ALPHABET (zero at j).  Only the
     three universal rows enter them, so they do not depend on the word."""
-    rows = [_UNIVERSAL_ROWS[i] for i in (0, 1, 3)]
     out = [IntPolynomial()] * len(ALPHABET)
     cols = [c for c in range(len(ALPHABET)) if c != j]
     for p, c in enumerate(cols):
-        minor = _det([[r[d] for d in cols if d != c] for r in rows])
+        minor = _MINORS[tuple(d for d in cols if d != c)]
         out[c] = minor if p % 2 == 0 else -minor
     return out
 
@@ -207,10 +212,12 @@ def _column_oracle(j: int) -> tuple[tuple[IntPolynomial, ...], tuple[int, ...]]:
     else:
         cofactors = [k - k.shift(1) for k in cofactors]    # * (1 - t)
         factors.append(2)
-    for m in sorted(factors, reverse=True):
+    for m in sorted(set(factors), reverse=True):
         cut = IntPolynomial.one_minus_t_power(m)
-        quotients = [k.try_div_exact(cut) for k in cofactors]
-        if None not in quotients:
+        while m in factors:
+            quotients = [k.try_div_exact(cut) for k in cofactors]
+            if None in quotients:
+                break
             cofactors = quotients
             factors.remove(m)
     return tuple(cofactors), tuple(factors)
