@@ -3,7 +3,7 @@ Markov partitions, and topological entropy for the family x^5 - c*x + 1."""
 
 __version__ = "0.1.0"
 
-from .polynomials import IntPolynomial, RationalFunctionInT, smallest_root_in
+from .polynomials import IntPolynomial, smallest_root_in
 from .words import (
     LAP_SIGN,
     SYMBOLS,
@@ -49,7 +49,6 @@ from .markov import (
     CurvePoint,
     EntropyResult,
     MarkovPartition,
-    TransitionMatrix,
     char_poly,
     critical_orbit,
     entropy_curve,
@@ -72,7 +71,7 @@ from .reduction import (
 
 __all__ = [
     "__version__",
-    "IntPolynomial", "RationalFunctionInT", "smallest_root_in",
+    "IntPolynomial", "smallest_root_in",
     "LAP_SIGN", "SYMBOLS", "SymbolWord",
     "TAIL_A_INF", "TAIL_PERIODIC", "TAIL_UNRESOLVED",
     "TreeNode", "WordError",
@@ -85,7 +84,7 @@ __all__ = [
     "tree_polynomial_step",
     "C0", "CriticalFrame", "PoleError", "critical_frame", "critical_symbols",
     "find_superstable_parameter", "itinerary", "newton_eval",
-    "CurvePoint", "EntropyResult", "MarkovPartition", "TransitionMatrix",
+    "CurvePoint", "EntropyResult", "MarkovPartition",
     "char_poly", "critical_orbit", "entropy_curve", "entropy_from_charpoly",
     "entropy_from_kneading", "entropy_point", "lap_growth_estimate",
     "markov_partition", "transition_matrix",

@@ -267,23 +267,27 @@ def tail_period(code: OrbitCode) -> tuple[int, int] | None:
     return None
 
 
-POLE_NUDGE = 1e-12   # relative step off a pole collision
+POLE_NUDGE = 1e-12   # relative size of the first step off a pole collision
 POLE_RETRIES = 3
 
 
 def nudge_off_poles(fn, c: float):
-    """(c', fn(c')) for the first c' = c*(1+1e-12)^j, j = 0..3, where fn
+    """(c', fn(c')) for the first of c and three nudged parameters where fn
     does not raise PoleError; the fourth PoleError propagates.
 
     An orbit meeting a pole is a measure-zero coincidence of the parameter,
-    so a relative step of POLE_NUDGE usually moves off it; not at 5^(1/5),
-    whose critical value 1/c is the pole d3 and moves ~1e-12 per step.
+    so a relative step of POLE_NUDGE usually moves off it.  Each step is 20
+    times the last, so the third, 4e-10, clears the 1e-10 pole window even
+    at 5^(1/5), where the critical value 1/c is the pole d3 and moves with
+    c; all three move c by under 5e-10, relative.
     """
+    step = POLE_NUDGE
     for _ in range(POLE_RETRIES):
         try:
             return c, fn(c)
         except PoleError:
-            c *= 1.0 + POLE_NUDGE
+            c *= 1.0 + step
+            step *= 20.0
     return c, fn(c)
 
 

@@ -10,7 +10,9 @@ a determinant D(t) that does not depend on the deleted column.  Only the
 zero's row depends on the word, so D is taken as the expansion along that
 row: the other three rows give each struck column's cofactors once, at
 import, with the (1 - t^m) factors they share cancelled against the
-denominator in advance.  For a critical cycle of length k the combination
+denominator in advance.  ``kneading_determinant`` hands D out as a plain
+pair: its integer numerator and the sorted exponents m of its (1 - t^m)
+factors.  For a critical cycle of length k the combination
 
     P(t) = D(t) * (1 - t)^2 * (1 - t^k)
 
@@ -35,7 +37,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .polynomials import IntPolynomial, RationalFunctionInT
+from .polynomials import IntPolynomial
 from .words import (
     LAP_SIGN,
     SymbolWord,
@@ -144,22 +146,14 @@ def _critical_side_streams(word) -> tuple[SymbolWord, SymbolWord]:
             SymbolWord("L" + head, word.tail, start))
 
 
-def kneading_increment(point_index: int,
-                       word=None) -> tuple[Sequence[IntPolynomial], int]:
-    """nu_i for marked point i in {0: root, 1: left pole, 2: zero, 3: right
-    pole}, as ``(numerators, q)`` like ``invariant_coordinate``.  The zero
-    increment needs the kneading word; the others are parameter
-    independent."""
-    if point_index in _UNIVERSAL_ROWS:
-        return _UNIVERSAL_ROWS[point_index], 1
-    if point_index == 2:
-        if word is None:
-            raise ValueError("the zero increment needs the kneading word")
-        # the two streams share their periodic block, hence their q
-        (plus, q), (minus, _) = map(invariant_coordinate,
-                                    _critical_side_streams(word))
-        return [a - b for a, b in zip(plus, minus)], q
-    raise ValueError(f"no marked point {point_index}")
+def kneading_increment(word) -> tuple[Sequence[IntPolynomial], int]:
+    """nu_2, the increment at the zero, as ``(numerators, q)`` like
+    ``invariant_coordinate``: the difference of the coordinates of its two
+    side streams.  It is the one row that depends on the kneading word."""
+    # the two streams share their periodic block, hence their q
+    (plus, q), (minus, _) = map(invariant_coordinate,
+                                _critical_side_streams(word))
+    return [a - b for a, b in zip(plus, minus)], q
 
 
 # ----------------------------------------------------------------------
@@ -226,23 +220,26 @@ def _column_oracle(j: int) -> tuple[tuple[IntPolynomial, ...], tuple[int, ...]]:
 _COLUMN_ORACLES = {s: _column_oracle(j) for j, s in enumerate(ALPHABET)}
 
 
-def kneading_determinant(word, column: str = "B") -> RationalFunctionInT:
-    """D(t) from the increment matrix with one column struck out.
+def kneading_determinant(word, column: str = "B"
+                         ) -> tuple[IntPolynomial, tuple[int, ...]]:
+    """D(t) from the increment matrix with one column struck out, as
+    ``(num, den_factors)``: D = num / prod (1 - t^m) over the sorted
+    exponents m in ``den_factors``.
 
-    The result is independent of the choice of column.  Only the zero row
-    nu_2 depends on the word, so the determinant is the expansion along it:
-    nu_2's numerators times the struck column's cofactors, which are
-    computed once at import with their shared (1 - t^m) factors already
-    cancelled against the denominator, over what is left of it and nu_2's
-    own (1 - t^q).
+    The value is independent of the choice of column; its representation
+    is not.  Only the zero row nu_2 depends on the word, so the determinant
+    is the expansion along it: nu_2's numerators times the struck column's
+    cofactors, which are computed once at import with their shared
+    (1 - t^m) factors already cancelled against the denominator, over what
+    is left of it and nu_2's own (1 - t^q).
     """
     cofactors, factors = _COLUMN_ORACLES[column]
-    nu, q = kneading_increment(2, word)
+    nu, q = kneading_increment(word)
     num = IntPolynomial()
     for a, k in zip(nu, cofactors):
         if not (a.is_zero() or k.is_zero()):
             num = num + a * k
-    return RationalFunctionInT(num, factors + (q,))
+    return num, tuple(sorted(factors + (q,)))
 
 
 def determinant_polynomial(word) -> IntPolynomial:
@@ -256,11 +253,10 @@ def determinant_polynomial(word) -> IntPolynomial:
     a polynomial, which would mean the word does not carry a consistent
     increment."""
     word = as_word(word)
-    D = kneading_determinant(word)
-    factors = list(D.den_factors)
+    out, den_factors = kneading_determinant(word)
+    factors = list(den_factors)
     for m in (1, 1, len(word.head)) if word.is_cycle() else (1, 1):
         factors.remove(m)
-    out = D.num
     for m in factors:
         out = out.div_exact(IntPolynomial.one_minus_t_power(m))
     return out

@@ -5,7 +5,8 @@ When the critical orbit is periodic the marked points plus the orbit cut
 the line into intervals that map onto unions of each other.  Where each
 interval goes follows from the construction (the orbit shifts along itself,
 the free root is fixed, the poles send their sides to +-inf), so the 0/1
-transition matrix is read off without evaluating the map; its growth rate
+transition matrix is read off without evaluating the map, as a plain tuple
+of int rows that ``char_poly`` and the lap count take; its growth rate
 is one route to the topological entropy.  The kneading determinant gives a
 second, exact route, and lap counting through powers of the matrix a third.
 ``entropy_curve`` walks a parameter grid using the kneading route: a
@@ -78,15 +79,6 @@ class MarkovPartition:
     images: tuple[tuple[float, float], ...]
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    matrix: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.matrix)
-
-
 def critical_orbit(c: float) -> list[float]:
     """The periodic critical orbit [0, N(0), ...] at a cycle parameter.
 
@@ -145,8 +137,8 @@ def markov_partition(c: float) -> MarkovPartition:
     return MarkovPartition(tuple(intervals), images)
 
 
-def transition_matrix(partition: MarkovPartition) -> TransitionMatrix:
-    """0/1 matrix: does the open image of interval i cover part of j?
+def transition_matrix(partition: MarkovPartition) -> tuple[tuple[int, ...], ...]:
+    """0/1 matrix rows: does the open image of interval i cover part of j?
 
     The map is monotone on each interval (all turning and blow-up points
     are boundaries), so the image is the open interval between the limits
@@ -157,7 +149,7 @@ def transition_matrix(partition: MarkovPartition) -> TransitionMatrix:
         lo, hi = min(a, b), max(a, b)
         rows.append(tuple([1 if min(hi, q) - max(lo, p) > 0 else 0
                            for p, q in partition.intervals]))
-    return TransitionMatrix(tuple(rows))
+    return tuple(rows)
 
 
 # ----------------------------------------------------------------------
@@ -183,14 +175,13 @@ def _matrix_powers(M, n: int):
             P = nxt
 
 
-def char_poly(tm: TransitionMatrix | tuple[tuple[int, ...], ...]) -> IntPolynomial:
+def char_poly(M: tuple[tuple[int, ...], ...]) -> IntPolynomial:
     """det(I - t*M) exactly, via traces of powers and Newton's identities
     on ints: j*e_j is divided exactly, and a remainder raises.
 
     Only M, ..., M^h are built, h = ceil(n/2); each higher trace pairs two
     of them, tr(M^(a+h)) = sum over i, l of (M^a)_il (M^h)_li.
     """
-    M = tm.matrix if isinstance(tm, TransitionMatrix) else tm
     n = len(M)
     h = (n + 1) // 2
     powers = list(_matrix_powers(M, h))
@@ -222,14 +213,14 @@ def entropy_from_kneading(word) -> EntropyResult:
     return _result_from_root(_band_root(kneading_numerator(word)), "kneading")
 
 
-def lap_growth_estimate(tm: TransitionMatrix) -> EntropyResult:
+def lap_growth_estimate(M: tuple[tuple[int, ...], ...]) -> EntropyResult:
     """Entropy from the growth of path counts through the transition matrix.
 
     The total number of admissible k-step itineraries grows like the
     spectral radius; the ratio of consecutive totals, here at k = LAP_STEPS,
     converges to it geometrically (much faster than the k-th root does).
     """
-    totals = [sum(map(sum, P)) for P in _matrix_powers(tm.matrix, LAP_STEPS)]
+    totals = [sum(map(sum, P)) for P in _matrix_powers(M, LAP_STEPS)]
     ratio = totals[-1] / totals[-2]
     return EntropyResult(1.0 / ratio, math.log(ratio), "lap-growth")
 
@@ -266,10 +257,10 @@ def entropy_point(c: float, horizon: int = 64) -> CurvePoint:
     anything else gets the truncated series, with the horizon grown, up to
     MAX_HORIZON, until the series tail is negligible at the root found.  A
     pole within the first 24 points moves c by the shared nudge schedule
-    (PoleError when all four tries fail, as at c = 5^(1/5), where 1/c is
-    the pole d3); a later one truncates the series there.  A horizon below
-    1 raises ValueError, since doubling it would never reach MAX_HORIZON,
-    and so does c >= C0 (see ``_check_below_c0``).
+    (PoleError when all four tries fail; the last clears c = 5^(1/5), where
+    1/c is the pole d3); a later one truncates the series there.  A horizon
+    below 1 raises ValueError, since doubling it would never reach
+    MAX_HORIZON, and so does c >= C0 (see ``_check_below_c0``).
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon!r}")

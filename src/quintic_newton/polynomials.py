@@ -1,4 +1,4 @@
-"""Exact polynomial and rational-function arithmetic in one variable t.
+"""Exact integer polynomial arithmetic in one variable t.
 
 Everything downstream of the symbolic coding (kneading increments,
 determinants, characteristic polynomials) must be exact: the entropy
@@ -6,13 +6,11 @@ comparisons in the test suite check integer coefficient lists, not floats.
 Coefficients are Python ints stored lowest power first with trailing zeros
 stripped, and division is exact: it gives None (``try_div_exact``) or
 raises (``div_exact``) when it does not come out even over Z.  The kneading
-algebra works on integer numerators; the determinant oracle hands its
-result out once as a ``RationalFunctionInT``, a value type that holds an
-integer numerator over an explicit multiset of (1 - t^m) factors, the only
-denominator the coding produces.  It compares but does no arithmetic:
-callers compute on ``num`` and ``den_factors``, cancelling factors by
-exponent and dividing by what is left, which for (1 - t^m) costs time
-linear in the degree.
+algebra works on integer numerators.  The only denominator the coding
+produces is a product of (1 - t^m) factors, which callers carry as a
+tuple of exponents m beside the numerator, cancelling factors by exponent
+and dividing by what is left; dividing by (1 - t^m) costs time linear in
+the degree.
 
 Floating point enters only through ``evaluate`` and the band-root search
 at the bottom, and every float decision there is certified: rounding
@@ -57,10 +55,6 @@ class IntPolynomial:
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
-    @classmethod
-    def one(cls) -> "IntPolynomial":
-        return cls((1,))
-
     @classmethod
     def one_minus_t_power(cls, m: int) -> "IntPolynomial":
         """1 - t^m"""
@@ -245,44 +239,6 @@ class IntPolynomial:
             acc = acc * num + c * scale
             scale *= den
         return (acc > 0) - (acc < 0)
-
-
-class RationalFunctionInT:
-    """num / prod (1 - t^m), the only rational shape the coding produces.
-
-    A value type with no arithmetic of its own: callers work on ``num``
-    and ``den`` as integer polynomials.  The denominator is stored as a
-    multiset of exponents m, as the producer wrote it, not reduced.
-    Equality with another ``RationalFunctionInT`` is cross-multiplied and
-    therefore representation independent.
-    """
-
-    __slots__ = ("num", "den_factors")
-
-    def __init__(self, num: IntPolynomial, den_factors: Iterable[int] = ()):
-        self.num = num
-        factors = tuple(sorted(den_factors))
-        if any(m < 1 for m in factors):
-            raise ValueError("denominator exponents must be >= 1")
-        self.den_factors = factors
-
-    @property
-    def den(self) -> IntPolynomial:
-        out = IntPolynomial.one()
-        for m in self.den_factors:
-            out = out * IntPolynomial.one_minus_t_power(m)
-        return out
-
-    def __repr__(self):
-        if not self.den_factors:
-            return f"({self.num})"
-        den = "".join(f"(1-t^{m})" if m > 1 else "(1-t)" for m in self.den_factors)
-        return f"({self.num}) / {den}"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalFunctionInT):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
 
 
 # ----------------------------------------------------------------------

@@ -146,6 +146,9 @@ PERIODIC_NUMERATORS = {
 # sha256 of what `tree --max-level 10 --format json` prints
 TREE_DIGEST = "751e3fdca3016b3720399a6f034d2a917d7b3ad6bd94b6ccaa22f5179300d284"
 
+# sha256 of what `verify --suite all` prints: 13 checks, 0 failures
+VERIFY_DIGEST = "4c14fe4e0d6de760e1286f4feff1f85e7205e025e29ac2e0be87afc2f3be6ef5"
+
 # sha256 over one line "<word> <outcome>\n" per admissible cycle word at
 # levels 2-10 (admissible_cycles order), where the outcome is
 # find_superstable_parameter(word).hex() or the ValueError message; recorded

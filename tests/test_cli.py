@@ -1,7 +1,8 @@
 import hashlib
 import json
+import math
 
-from frozen import LEVELS, SUPERSTABLE, TREE_DIGEST
+from frozen import LEVELS, SUPERSTABLE, TREE_DIGEST, VERIFY_DIGEST
 from quintic_newton import cli
 from quintic_newton.cli import main
 from quintic_newton.dynamics import PoleError
@@ -261,13 +262,20 @@ def test_find_window_takes_both_bracket_ends_or_neither(capsys):
     assert abs(c - SUPERSTABLE["RLRC"]) < 1e-9
 
 
-def test_entropy_curve_fails_where_every_nudge_meets_the_pole(capsys):
-    # the grid starts at c = 5^(1/5), whose critical value 1/c is the pole d3
-    argv = ["entropy-curve", "--lo", "1.379729661461215", "--hi", "1.4", "--n", "2"]
-    assert main(argv) == 2
+def test_entropy_curve_nudges_off_the_pole_at_the_fifth_root_of_five(capsys):
+    # the grid starts at c = 5^(1/5), whose critical value 1/c is the pole
+    # d3; the third nudge clears it and stays inside the 1e-9 grid gate
+    lo = 1.379729661461215
+    argv = ["entropy-curve", "--lo", str(lo), "--hi", "1.4", "--n", "2"]
+    assert main(argv) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: pole proximity")
+    assert captured.err == ""
+    header, first, _ = captured.out.splitlines()
+    assert header == "c,entropy,method,period"
+    c, entropy, method, period = first.split(",")
+    assert 0 < (float(c) - lo) / lo < 1e-9
+    assert abs(float(entropy) - math.log(2.0)) < 1e-12
+    assert (method, period) == ("kneading-series", "0")
 
 
 def test_entropy_curve_rejects_parameters_from_c0_on(capsys):
@@ -309,3 +317,5 @@ def test_verify_all_suites(capsys):
     assert main(["verify", "--suite", "all"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+    # the report is byte-identical to the recorded one
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_DIGEST

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from frozen import RLRC_MATRIX, TRIBONACCI, WINDOW_MATRIX_DIGEST
+from rational import same_rational
 from quintic_newton.dynamics import (
     C0,
-    PoleError,
     critical_frame,
     find_superstable_parameter,
     newton_eval,
@@ -27,8 +27,13 @@ from quintic_newton.markov import (
     markov_partition,
     transition_matrix,
 )
-from quintic_newton.polynomials import IntPolynomial, RationalFunctionInT
-from quintic_newton.words import SymbolWord, TAIL_PERIODIC, admissible_cycles
+from quintic_newton.polynomials import IntPolynomial
+from quintic_newton.words import (
+    SymbolWord,
+    TAIL_PERIODIC,
+    admissible_cycles,
+    order_compare,
+)
 
 
 @pytest.fixture(scope="module")
@@ -63,8 +68,7 @@ def test_partition_structure(c_rlrc):
 
 
 def test_rlrc_transition_matrix_is_exact(c_rlrc):
-    tm = transition_matrix(markov_partition(c_rlrc))
-    assert tm.matrix == RLRC_MATRIX
+    assert transition_matrix(markov_partition(c_rlrc)) == RLRC_MATRIX
 
 
 def test_interval_images_align_with_boundaries():
@@ -138,7 +142,7 @@ def located_matrices(max_level):
         for word in admissible_cycles(level):
             try:
                 c = find_superstable_parameter(word)
-                out.append((word, c, transition_matrix(markov_partition(c)).matrix))
+                out.append((word, c, transition_matrix(markov_partition(c))))
             except ValueError:
                 continue
     return out
@@ -195,14 +199,13 @@ def test_a_nilpotent_matrix_has_no_band_root_and_zero_entropy():
 
 
 def test_lap_growth_matches_dense_path_totals():
-    for word, c, m in located_matrices(5):
+    for word, _, m in located_matrices(5):
         P, totals = [list(r) for r in m], []
         for _ in range(20):
             totals.append(sum(map(sum, P)))
             P = dense_mat_mul(P, m)
         ratio = totals[-1] / totals[-2]
-        tm = transition_matrix(markov_partition(c))
-        assert lap_growth_estimate(tm).t_star == 1.0 / ratio, word
+        assert lap_growth_estimate(m).t_star == 1.0 / ratio, word
 
 
 def test_char_poly_identity_with_kneading(c_rlrc):
@@ -215,10 +218,10 @@ def test_char_poly_identity_with_kneading(c_rlrc):
 
 
 def test_three_entropy_routes_agree(c_rlrc):
-    tm = transition_matrix(markov_partition(c_rlrc))
-    r_char = entropy_from_charpoly(char_poly(tm))
+    rows = transition_matrix(markov_partition(c_rlrc))
+    r_char = entropy_from_charpoly(char_poly(rows))
     r_knead = entropy_from_kneading("RLRC")
-    r_lap = lap_growth_estimate(tm)
+    r_lap = lap_growth_estimate(rows)
     assert abs(r_char.t_star - r_knead.t_star) < 1e-10
     assert abs(1.0 / r_knead.t_star - TRIBONACCI) < 1e-10
     assert abs(r_lap.h - r_knead.h) / r_knead.h < 0.02
@@ -253,15 +256,18 @@ def test_entropy_point_methods(c_rlrc):
     assert 0.7 < pt.entropy < 0.8
 
 
-def test_entropy_point_raises_where_the_critical_value_is_a_pole():
+def test_entropy_point_nudges_off_the_pole_at_the_fifth_root_of_five():
     # at c = 5^(1/5) the critical value 1/c is the right pole (c/5)^(1/4);
-    # each nudge moves 1/c by about 1e-12, far inside the 1e-10 pole window,
-    # so all four parameters fail at the first point
+    # the nudges grow 20-fold, and only the third, 4e-10, moves 1/c out of
+    # the 1e-10 pole window, still far inside the curve's 1e-9 grid gate
     c = 5 ** 0.2
     assert abs(1.0 / c - critical_frame(c).d3) < 1e-15
-    with pytest.raises(PoleError) as info:
-        entropy_point(c)
-    assert info.value.iteration == 0
+    pt = entropy_point(c)
+    assert pt.c == c * (1 + 1e-12) * (1 + 2e-11) * (1 + 4e-10)
+    assert 4e-10 < (pt.c - c) / c < 5e-10
+    assert pt.method == "kneading-series"
+    assert abs(pt.t_star - 0.5) < 1e-12
+    assert abs(pt.entropy - math.log(2.0)) < 1e-12
 
 
 def test_entropy_curve_grid_and_monotonicity():
@@ -281,8 +287,8 @@ def test_kneading_numerator_accepts_both_forms():
     w = SymbolWord("RLRC", TAIL_PERIODIC, 0)
     assert kneading_numerator(w) == kneading_numerator("RLRC")
     # the oracle's value, in the reduced form of the frozen RL plateau
-    assert kneading_determinant(w) == RationalFunctionInT(
-        IntPolynomial([1, 0, -2, -2, -1]), (1, 4))
+    assert same_rational(kneading_determinant(w),
+                         (IntPolynomial([1, 0, -2, -2, -1]), (1, 4)))
 
 
 def test_entropy_point_rejects_parameters_from_c0_on():
@@ -290,6 +296,29 @@ def test_entropy_point_rejects_parameters_from_c0_on():
     for c in (2.0, C0):
         with pytest.raises(ValueError, match="is not below C0"):
             entropy_point(c)
+
+
+def test_located_parameters_follow_the_word_order():
+    # words ascend in the signed order as c* descends, strictly
+    ordered = sorted(located_matrices(8),
+                     key=functools.cmp_to_key(lambda a, b: order_compare(a[0], b[0])))
+    cs = [c for _, c, _ in ordered]
+    bad = [(u[0], v[0]) for u, v, a, b in zip(ordered, ordered[1:], cs, cs[1:])
+           if not a > b]
+    assert not bad, bad
+
+
+def test_markov_route_entropy_is_monotone_in_the_parameter():
+    # the paper's theorem by the transition matrices alone, no kneading:
+    # the charpoly t* never increases with c*
+    pts = sorted((c, entropy_from_charpoly(char_poly(m)).t_star, word)
+                 for word, c, m in located_matrices(8))
+    steps = list(zip(pts, pts[1:]))
+    bad = [(u[2], v[2], u[1], v[1]) for u, v in steps if v[1] > u[1]]
+    assert not bad, bad
+    # words inside one renormalization window, as RC, RLRC and RLRMRC are,
+    # share t* bit for bit
+    assert sum(u[1] == v[1] for u, v in steps) == 9
 
 
 def test_markov_and_kneading_routes_agree_exactly_on_every_window():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from frozen import PLANTED_ROOT_DIGEST
+from rational import same_rational
 from hypothesis import given, settings, strategies as st
 
 from quintic_newton import polynomials
@@ -12,7 +13,6 @@ from quintic_newton.kneading import kneading_numerator
 from quintic_newton.markov import BAND_ROOT_LO
 from quintic_newton.polynomials import (
     IntPolynomial,
-    RationalFunctionInT,
     bisect_sign,
     smallest_root_in,
 )
@@ -91,19 +91,15 @@ def test_division_inverts_multiplication(a, b):
 
 
 def test_rational_function_equality():
-    one = IntPolynomial([1])
+    one_minus = IntPolynomial.one_minus_t_power
     num = IntPolynomial([1, 1]) * IntPolynomial([1, -1, -1, -1])
-    d = RationalFunctionInT(num, (1, 4))
+    d = (num, (1, 4))
     # multiply back: d * (1-t)(1-t^4) == num as a polynomial
-    cleared = RationalFunctionInT(d.num * one.one_minus_t_power(1) *
-                                  one.one_minus_t_power(4), d.den_factors)
-    assert cleared == RationalFunctionInT(num, ())
+    assert same_rational((num * one_minus(1) * one_minus(4), (1, 4)), (num, ()))
     # the same value over another factor multiset, and a different value
-    assert d == RationalFunctionInT(num * one.one_minus_t_power(2), (4, 2, 1))
-    assert d != RationalFunctionInT(num, (1, 2, 4))
-    assert d != RationalFunctionInT(num * 2, (1, 4))
-    # a value type: it compares only with another RationalFunctionInT
-    assert RationalFunctionInT(num, ()) != num
+    assert same_rational(d, (num * one_minus(2), (4, 2, 1)))
+    assert not same_rational(d, (num, (1, 2, 4)))
+    assert not same_rational(d, (num * 2, (1, 4)))
 
 
 def test_derivative_gcd_and_exact_sign():
