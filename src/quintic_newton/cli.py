@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import random
 import sys
 
@@ -186,6 +187,8 @@ def cmd_entropy_curve(args: argparse.Namespace) -> int:
 def cmd_bifurcation(args: argparse.Namespace) -> int:
     if args.n < 2:
         raise ValueError("need at least two grid points")
+    if not (0.0 < args.lo < args.hi < math.inf):
+        raise ValueError(f"bad parameter range ({args.lo}, {args.hi})")
     if args.transient < 0:
         raise ValueError("--transient must not be negative")
     if args.samples < 1:

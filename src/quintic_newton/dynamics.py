@@ -6,11 +6,11 @@ points of the polynomial) and one free critical point at zero.  This module
 provides the Newton step for any x^5 + a*x + b, the critical frame that cuts
 the line into the coding pieces, the orbit layer every other module codes
 orbits with (one walker, the generator ``orbit_symbols``, which steps only
-when asked, so n points cost n - 1 steps; one periodic-tail rule; one
-reader, ``OrbitCode.word``, that turns a walk into the word ``itinerary``
-returns; one pole-nudge schedule), and the locator for parameters whose
-critical orbit closes up on a prescribed cycle word (``polynomials.bisect_sign``
-halves its order comparison, then its k-th return, as it does the band roots).
+when asked and checks c once per walk and each point before its step; one
+periodic-tail rule, which finds where the symbols repeat before it compares
+points; one reader, ``OrbitCode.word``; one pole-nudge schedule), and the
+locator for parameters whose critical orbit closes up on a cycle word
+(``polynomials.bisect_sign`` halves its order, then its k-th return).
 """
 from __future__ import annotations
 
@@ -21,11 +21,11 @@ from typing import Iterator, NamedTuple
 
 from .polynomials import bisect_sign
 from .words import (
+    RANK,
     SymbolWord,
     TAIL_A_INF,
     TAIL_PERIODIC,
     TAIL_UNRESOLVED,
-    _signed_compare,
     as_word,
     is_admissible,
 )
@@ -68,6 +68,11 @@ def newton_step(a: float, b: float, x: float) -> float:
     """
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(x)):
         raise ValueError(f"non-finite input a={a!r}, b={b!r}, x={x!r}")
+    return _unchecked_step(a, b, x)
+
+
+def _unchecked_step(a: float, b: float, x: float) -> float:
+    """``newton_step`` unchecked; the walkers check a once, x at every step."""
     if abs(x) <= 1.0:
         den = 5.0 * x ** 4 + a
         if abs(den) <= POLE_TOL:
@@ -126,17 +131,6 @@ class CriticalFrame:
             if fp != 0.0:
                 d0 -= quintic_value(a, 1.0, d0) / fp
         return d0
-
-    def classify(self, x: float) -> str:
-        if x < self.d1:
-            return "A" if x < self.d0 else "B"
-        if x < 0.0:
-            return "L"
-        if x == 0.0:
-            return "C"
-        if x < self.d3:
-            return "M"
-        return "R"
 
 
 def critical_frame(c: float) -> CriticalFrame:
@@ -203,25 +197,29 @@ def orbit_symbols(c: float, x0: float, n: int,
     within tol of zero reads C and the orbit continues; A or B ends the
     walk after its symbol; a point within tol of a pole yields the symbol
     None and ends the walk.  A Newton step that itself meets a pole raises
-    PoleError.  A start of nan or +inf, which the frame would read as R,
-    raises the step's ValueError even when no step follows.
+    PoleError.  The frame checks c once per walk; a start of nan or +inf,
+    and any non-finite point about to step, raise ``newton_step``'s ValueError.
     """
     frame = critical_frame(c)
     d1, d3, a = frame.d1, frame.d3, -c
-    if math.isnan(x0) or x0 == math.inf:
-        newton_step(a, 1.0, x0)
-    classify = frame.classify
+    if not x0 < math.inf:
+        newton_step(a, 1.0, x0)  # raises its ValueError for nan and +inf
     x = x0
     for i in range(n):
         if i:
-            x = newton_step(a, 1.0, x)
+            if not -math.inf < x < math.inf:
+                newton_step(a, 1.0, x)  # raises its ValueError
+            x = _unchecked_step(a, 1.0, x)
         if abs(x - d1) <= tol or abs(x - d3) <= tol:
             yield x, None
             return
-        s = "C" if abs(x) <= tol else classify(x)
-        yield x, s
-        if s in ("A", "B"):
+        if abs(x) <= tol or x == 0.0:
+            yield x, "C"
+        elif x < d1:
+            yield x, "A" if x < frame.d0 else "B"
             return
+        else:
+            yield x, "L" if x < 0.0 else "M" if x < d3 else "R"
 
 
 def walk_orbit(c: float, x0: float, n: int, tol: float = 1e-10) -> OrbitCode:
@@ -241,11 +239,16 @@ def walk_orbit(c: float, x0: float, n: int, tol: float = 1e-10) -> OrbitCode:
 
 
 def orbit_points(c: float, x0: float, n: int) -> list[float]:
-    """The first n points x0, N(x0), ... of an orbit, uncoded."""
+    """The first n points x0, N(x0), ... of an orbit, uncoded; a non-finite
+    c or point raises ``newton_step``'s ValueError at the step that reads it."""
     a = -c
+    step = _unchecked_step if -math.inf < a < math.inf else newton_step
     xs = [x0]
     for _ in range(n - 1):
-        xs.append(newton_step(a, 1.0, xs[-1]))
+        x = xs[-1]
+        if not -math.inf < x < math.inf:
+            newton_step(a, 1.0, x)  # raises its ValueError
+        xs.append(step(a, 1.0, x))
     return xs
 
 
@@ -254,16 +257,20 @@ def tail_period(code: OrbitCode) -> tuple[int, int] | None:
 
     Scans periods in increasing order and, for each, starts in increasing
     order for a coded point that recurs within TAIL_TOL, with the symbols
-    repeating from there to the end of the code.
+    repeating from there to the end of the code.  If the symbols repeat
+    from one start they repeat from every later one, so a scan back from
+    the end finds the first such start before any point is compared.
     """
     syms = code.symbols
     n = len(syms)
     xs = code.points
     for p in range(1, min(n // 2, TAIL_MAX_PERIOD) + 1):
-        for s in range(0, n - 2 * p + 1):
+        first = n - p
+        while first and syms[first - 1] == syms[first - 1 + p]:
+            first -= 1
+        for s in range(first, n - 2 * p + 1):
             if abs(xs[s + p] - xs[s]) < TAIL_TOL * max(1.0, abs(xs[s])):
-                if syms[s:n - p] == syms[s + p:]:
-                    return s, p
+                return s, p
     return None
 
 
@@ -347,6 +354,10 @@ def find_superstable_parameter(word, bracket: tuple[float, float] | None = None,
         raise ValueError(f"bad bracket {bracket!r}")
     horizon = max(64, 6 * k)
     expected = target.prefix(horizon)
+    # signs[i] = -1 after an odd count of B or L: the order flips at index i
+    signs = [1]
+    for t in expected:
+        signs.append(-signs[-1] if t in "BL" else signs[-1])
 
     def read(c: float) -> int:
         # realized > word means c is below the target, realized < word above;
@@ -356,7 +367,7 @@ def find_superstable_parameter(word, bracket: tuple[float, float] | None = None,
             if s != t:
                 if s is None:
                     raise PoleError(x, i)
-                return _signed_compare(expected[:i] + s, expected)
+                return signs[i] if RANK[s] > RANK[t] else -signs[i]
         return 0
 
     def side(c: float) -> int:

@@ -27,7 +27,6 @@ from .dynamics import (
     critical_frame,
     newton_eval,
     nudge_off_poles,
-    orbit_points,
     walk_orbit,
 )
 from .kneading import kneading_numerator
@@ -85,10 +84,12 @@ def critical_orbit(c: float) -> list[float]:
     Raises ValueError when the orbit fails to return to zero within the
     cap — the partition construction only makes sense on a closed orbit.
     """
-    pts = orbit_points(c, 0.0, CRITICAL_PERIOD_CAP + 1)
-    for i in range(1, len(pts)):
-        if abs(pts[i]) <= RETURN_TOL:
-            return pts[:i]
+    pts = [0.0]
+    for _ in range(CRITICAL_PERIOD_CAP):
+        x = newton_eval(c, pts[-1])
+        if abs(x) <= RETURN_TOL:
+            return pts
+        pts.append(x)
     raise ValueError(f"critical orbit does not close up at c={c!r}")
 
 

@@ -195,6 +195,20 @@ def test_bifurcation_rejects_fewer_than_one_sample(capsys):
         assert captured.err == "error: --samples must be at least 1\n"
 
 
+def test_bifurcation_checks_its_range_as_the_entropy_curve_does(capsys):
+    # c <= 0 is outside the family: c = -1 used to print rows, and c = 0
+    # met the pole at x = 0
+    for lo, hi in (("-1", "0.5"), ("0", "0.5"), ("0.5", "0.5"), ("0.6", "0.5"),
+                   ("0.5", "inf"), ("nan", "0.5")):
+        assert main(["bifurcation", "--lo", lo, "--hi", hi, "--n", "2",
+                     "--samples", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad parameter range ({float(lo)}, {float(hi)})\n"
+        assert main(["entropy-curve", "--lo", lo, "--hi", hi, "--n", "2"]) == 2
+        assert capsys.readouterr().out == ""
+
+
 def test_reduce_rejects_a_negative_point_count(capsys):
     assert main(["reduce", "1", "2", "--points", "-3"]) == 2
     captured = capsys.readouterr()
