@@ -196,8 +196,7 @@ def test_bifurcation_rejects_fewer_than_one_sample(capsys):
 
 
 def test_bifurcation_checks_its_range_as_the_entropy_curve_does(capsys):
-    # c <= 0 is outside the family: c = -1 used to print rows, and c = 0
-    # met the pole at x = 0
+    # c <= 0 is outside the family, and at c = 0 the critical point is a pole
     for lo, hi in (("-1", "0.5"), ("0", "0.5"), ("0.5", "0.5"), ("0.6", "0.5"),
                    ("0.5", "inf"), ("nan", "0.5")):
         assert main(["bifurcation", "--lo", lo, "--hi", hi, "--n", "2",
