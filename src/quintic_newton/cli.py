@@ -11,9 +11,7 @@ timestamps, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
-import json
 import math
 import random
 import sys
@@ -60,6 +58,8 @@ def _emit(args: argparse.Namespace, command: str, text: str,
     if not out:
         sys.stdout.write(text)
         return
+    import hashlib
+    import json
     data = text.encode("utf-8")
     with open(out, "w", newline="") as fh:
         fh.write(text)
@@ -96,6 +96,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         "conjugacy_points": rep.checked,
     }
     if args.json:
+        import json
         text = json.dumps(info, sort_keys=True) + "\n"
     else:
         lines = [f"kind = {info['kind']}"]
@@ -139,6 +140,7 @@ def cmd_find_window(args: argparse.Namespace) -> int:
 def cmd_tree(args: argparse.Namespace) -> int:
     levels = build_polynomial_tree(args.max_level)
     if args.format == "json":
+        import json
         payload = {
             "max_level": args.max_level,
             "levels": {
@@ -401,6 +403,8 @@ def _config_defaults(path: str, parser: argparse.ArgumentParser) -> str:
     Keys that name no option of the subcommand are skipped; each value goes
     through its option's type and choices, as it would on the command
     line."""
+    import hashlib
+    import json
     with open(path, "rb") as fh:
         raw = fh.read()
     cfg = json.loads(raw)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .polynomials import bisect_sign
@@ -94,7 +93,6 @@ def newton_eval(c: float, x: float) -> float:
 # critical frame
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class CriticalFrame:
     """The four marked points cutting the line into the coding pieces.
 
@@ -104,9 +102,11 @@ class CriticalFrame:
     left of d1 needs it.
     """
 
-    c: float
-    d1: float
-    d3: float
+    def __init__(self, c: float, d1: float, d3: float):
+        self.c, self.d1, self.d3 = c, d1, d3
+
+    def __repr__(self) -> str:
+        return f"CriticalFrame(c={self.c!r}, d1={self.d1!r}, d3={self.d3!r})"
 
     @functools.cached_property
     def d0(self) -> float:

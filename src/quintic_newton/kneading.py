@@ -34,8 +34,7 @@ tested against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .polynomials import IntPolynomial
 from .words import (
@@ -400,8 +399,7 @@ def convergent_polynomial(word, *,
 # the decorated tree
 # ----------------------------------------------------------------------
 
-@dataclass
-class PolyTreeNode:
+class PolyTreeNode(NamedTuple):
     word: str
     kind: str
     parent: str | None

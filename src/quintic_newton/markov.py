@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dynamics import (
     C0,
     STOP_POLE,
+    OrbitCode,
     critical_frame,
     newton_eval,
     nudge_off_poles,
@@ -49,8 +50,7 @@ LAP_STEPS = 20          # lap growth: the ratio of path counts through M^20, M^1
 MAX_HORIZON = 4096      # the series horizon doubles up to this
 
 
-@dataclass(frozen=True)
-class EntropyResult:
+class EntropyResult(NamedTuple):
     t_star: float
     h: float
     method: str
@@ -70,8 +70,7 @@ def _band_root(f) -> float | None:
 # partition and transition matrix
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MarkovPartition:
+class MarkovPartition(NamedTuple):
     """images[i] is (N(u+), N(w-)) for intervals[i] = (u, w)."""
 
     intervals: tuple[tuple[float, float], ...]
@@ -230,8 +229,7 @@ def lap_growth_estimate(M: tuple[tuple[int, ...], ...]) -> EntropyResult:
 # the entropy curve
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     c: float
     t_star: float
     entropy: float
@@ -279,8 +277,8 @@ def _check_below_c0(c: float) -> None:
 
 
 def _entropy_at(c: float, H: int) -> CurvePoint:
+    code = walk_orbit(c, newton_eval(c, 0.0), H)
     while True:
-        code = walk_orbit(c, newton_eval(c, 0.0), H)
         syms = code.symbols
         k = syms.find("C")
         if k >= 0:
@@ -299,6 +297,10 @@ def _entropy_at(c: float, H: int) -> CurvePoint:
         if tail < 1e-12 or H >= MAX_HORIZON or code.stop == STOP_POLE:
             return _curve_point(c, root, "kneading-series", 0)
         H = min(MAX_HORIZON, 2 * H)
+        # walk on from the last point, which the new walk codes again first
+        more = walk_orbit(c, code.points[-1], H - len(syms) + 1)
+        code = OrbitCode(syms + more.symbols[1:], code.points + more.points[1:],
+                         more.stop)
 
 
 def _curve_point(c: float, root: float | None, method: str, period: int) -> CurvePoint:

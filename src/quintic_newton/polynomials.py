@@ -23,8 +23,10 @@ and of the k-th return.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class IntPolynomial:
@@ -300,6 +302,7 @@ def smallest_root_in(poly: IntPolynomial, lo: float, hi: float) -> float | None:
             if below <= b and (below <= a or poly.sign_at(below) == sign) \
                     and (above >= b or poly.sign_at(above) == -sign):
                 return t
+    from fractions import Fraction
     a, b = bisect_sign(poly.sign_at, Fraction(a), Fraction(b), sign, ROOT_TOL)
     return float((a + b) / 2)
 
@@ -428,6 +431,7 @@ def _smallest_root_exact(poly: IntPolynomial, x: float, hi: float) -> float | No
     the square-free part at Fraction points, halved by ``bisect_sign`` on
     whether the count still equals the one at x, until the cell holding the
     first zero is narrower than ROOT_TOL."""
+    from fractions import Fraction
     g = poly.div_exact(poly.gcd(poly.derivative()))
     chain = [g, g.derivative()]
     while chain[-1].degree > 0:

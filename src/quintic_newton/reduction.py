@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dynamics import C0, PoleError, newton_step
 
 
-@dataclass(frozen=True)
-class BringJerrardQuintic:
+class BringJerrardQuintic(NamedTuple):
     a: float
     b: float
 
@@ -50,8 +49,7 @@ def classify_regime(c: float) -> Regime:
     return Regime.WINDOW_BAND if c < C0 else Regime.THREE_ROOTS
 
 
-@dataclass(frozen=True)
-class ReducedQuintic:
+class ReducedQuintic(NamedTuple):
     """Canonical form x^5 - c*x + 1, or a b = 0 degenerate form.
 
     kind is one of "canonical", "p_plus" (x^5 + x), "p_minus" (x^5 - x),
@@ -95,8 +93,7 @@ def reduce_quintic(q: BringJerrardQuintic) -> ReducedQuintic:
     return r
 
 
-@dataclass(frozen=True)
-class ConjugacyReport:
+class ConjugacyReport(NamedTuple):
     max_residual: float
     checked: int
     pole_points: tuple[float, ...]

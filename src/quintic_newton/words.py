@@ -26,7 +26,7 @@ plain head strings.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 SYMBOLS = "ABLCMR"
 RANK = {s: i for i, s in enumerate(SYMBOLS)}
@@ -59,8 +59,14 @@ class WordError(ValueError):
 # SymbolWord: head + tail classification
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class SymbolWord:
+# the fields of a SymbolWord, which checks them as it is built
+class _Word(NamedTuple):
+    head: str
+    tail: str
+    start: int
+
+
+class SymbolWord(_Word):
     """A one-sided symbol sequence with an explicitly classified tail.
 
     ``head`` holds the symbols actually produced.  ``tail`` says how the
@@ -69,22 +75,21 @@ class SymbolWord:
     TAIL_PERIODIC (the head from index ``start`` repeats forever).
     """
 
-    head: str
-    tail: str = TAIL_UNRESOLVED
-    start: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _SYMBOL_SET.issuperset(self.head):
-            bad = "".join(sorted(set(self.head) - _SYMBOL_SET))
-            raise WordError(f"unknown symbols {bad!r} in {self.head!r}")
-        if self.tail == TAIL_A_INF:
-            if not self.head or self.head[-1] != "A":
+    def __new__(cls, head: str, tail: str = TAIL_UNRESOLVED, start: int = 0):
+        if not _SYMBOL_SET.issuperset(head):
+            bad = "".join(sorted(set(head) - _SYMBOL_SET))
+            raise WordError(f"unknown symbols {bad!r} in {head!r}")
+        if tail == TAIL_A_INF:
+            if not head or head[-1] != "A":
                 raise WordError("an A-tail must follow a head ending in A")
-        elif self.tail == TAIL_PERIODIC:
-            if not (0 <= self.start < len(self.head)):
+        elif tail == TAIL_PERIODIC:
+            if not (0 <= start < len(head)):
                 raise WordError("periodic start index out of range")
-        elif self.tail != TAIL_UNRESOLVED:
-            raise WordError(f"unknown tail kind {self.tail!r}")
+        elif tail != TAIL_UNRESOLVED:
+            raise WordError(f"unknown tail kind {tail!r}")
+        return tuple.__new__(cls, (head, tail, start))
 
     # -- queries -------------------------------------------------------
     @property
@@ -289,8 +294,7 @@ def admissible_convergents(k: int) -> list[str]:
 # the word tree
 # ----------------------------------------------------------------------
 
-@dataclass
-class TreeNode:
+class TreeNode(NamedTuple):
     """One node of the kneading-word tree.
 
     kind is "cycle" for C-ending words and "convergent" for A-ending ones.

@@ -339,15 +339,16 @@ def exhaustive_tail_period(code):
 
 def test_tail_period_matches_the_exhaustive_scan_on_the_default_grid(monkeypatch):
     codes = []
+    word = OrbitCode.word
 
-    def recorded(*args):
-        code = walk_orbit(*args)
+    def recorded(code):
         codes.append(code)
-        return code
+        return word(code)
 
-    monkeypatch.setattr(markov, "walk_orbit", recorded)
+    monkeypatch.setattr(OrbitCode, "word", recorded)
     entropy_curve(0.02, 1.6493, 200)
-    # every walk the curve makes, the ones at a grown horizon included
+    # every walk the curve reads as a word, the ones at a grown horizon
+    # included; none of these closes on C, which is read without a word
     assert len(codes) > 200 and max(len(code.symbols) for code in codes) >= 256
     found = 0
     for code in codes:
@@ -355,6 +356,35 @@ def test_tail_period_matches_the_exhaustive_scan_on_the_default_grid(monkeypatch
         assert tail_period(code) == want, code.symbols
         found += want is not None
     assert found > 0
+
+
+def test_a_grown_horizon_walks_on_from_the_last_point(monkeypatch):
+    events = []
+    word = OrbitCode.word
+
+    def recorded_walk(c, x0, n):
+        events.append((c, x0, None))
+        return walk_orbit(c, x0, n)
+
+    def recorded_word(code):
+        events.append((events[-1][0], None, code))
+        return word(code)
+
+    monkeypatch.setattr(markov, "walk_orbit", recorded_walk)
+    monkeypatch.setattr(OrbitCode, "word", recorded_word)
+    entropy_curve(0.02, 1.6493, 200)
+    read = {}
+    for c, x0, code in events:
+        if code is not None:
+            # a code walked on holds the same bits as a walk from the start
+            assert code == walk_orbit(c, newton_eval(c, 0.0), len(code.points))
+            read[c] = code
+        else:
+            # the first walk of a parameter starts at its critical value, a
+            # later one at the last point of the code read before it
+            assert x0 == (read[c].points[-1] if c in read else newton_eval(c, 0.0))
+    # some walks grew: more walks than parameters
+    assert sum(code is None for _, _, code in events) > len(read)
 
 
 def planted_code(rng):

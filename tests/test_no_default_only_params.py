@@ -3,11 +3,11 @@
 A parameter with a default counts as used when a call in ``src/`` or
 ``perfbench/`` passes it, by position or by keyword.  Calls are matched by
 name: a bare name, an attribute, or an ``import ... as`` alias standing
-for its target; a call of a class counts for its ``__init__``, and a
-method's positions are counted past ``self``.  A call that spreads
-``*args`` or ``**kwargs`` counts as passing everything.  Calls from tests
-do not count, so a parameter that only ever takes its default shows up
-here: it should be a constant.
+for its target; a call of a class counts for its ``__init__`` or
+``__new__``, and a method's positions are counted past ``self``.  A call
+that spreads ``*args`` or ``**kwargs`` counts as passing everything.
+Calls from tests do not count, so a parameter that only ever takes its
+default shows up here: it should be a constant.
 """
 import ast
 from collections import defaultdict
@@ -96,7 +96,7 @@ def _default_only_params() -> set[str]:
     for path, tree in _parsed(PACKAGE):
         for qualname, fn, is_method in _functions(tree):
             name = qualname.rsplit(".", 1)[-1]
-            if name == "__init__":
+            if name in ("__init__", "__new__"):
                 name = qualname.rsplit(".", 2)[-2]   # called through its class
             for param, pos in _defaulted(fn, is_method):
                 if not any(spreads or param in kws or (pos is not None and npos > pos)
