@@ -69,6 +69,32 @@ from .reduction import (
     reduce_quintic,
 )
 
+
+class _DataclassView:
+    """A record's ``__dataclass_fields__`` or ``__dataclass_params__``, taken
+    on first use from a dataclass with the record's field names, so that
+    ``dataclasses.replace``, ``fields`` and ``asdict`` take the records (the
+    benchmark's self-test copies records with ``replace``), while importing
+    the package does not import ``dataclasses``."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __get__(self, obj, cls):
+        import dataclasses
+        twin = dataclasses.make_dataclass(cls.__name__, cls._fields)
+        cls.__dataclass_fields__ = twin.__dataclass_fields__
+        cls.__dataclass_params__ = twin.__dataclass_params__
+        return getattr(twin, self.name)
+
+
+for _record in (SymbolWord, TreeNode, PolyTreeNode, CriticalFrame, EntropyResult,
+                MarkovPartition, CurvePoint, BringJerrardQuintic, ReducedQuintic,
+                ConjugacyReport):
+    _record.__dataclass_fields__ = _DataclassView("__dataclass_fields__")
+    _record.__dataclass_params__ = _DataclassView("__dataclass_params__")
+del _record
+
 __all__ = [
     "__version__",
     "IntPolynomial", "smallest_root_in",

@@ -102,6 +102,8 @@ class CriticalFrame:
     left of d1 needs it.
     """
 
+    _fields = ("c", "d1", "d3")
+
     def __init__(self, c: float, d1: float, d3: float):
         self.c, self.d1, self.d3 = c, d1, d3
 

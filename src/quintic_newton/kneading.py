@@ -34,7 +34,7 @@ tested against.
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .polynomials import IntPolynomial
 from .words import (
@@ -399,13 +399,25 @@ def convergent_polynomial(word, *,
 # the decorated tree
 # ----------------------------------------------------------------------
 
-class PolyTreeNode(NamedTuple):
-    word: str
-    kind: str
-    parent: str | None
-    edge: str
-    poly: IntPolynomial
-    reduced: IntPolynomial | None     # poly / (1 - t) when that is exact
+class PolyTreeNode:
+    """A plain class rather than a NamedTuple, so that a field can be set (the
+    benchmark's self-test sets ``parent``); ``reduced`` is poly / (1 - t)
+    when that is exact."""
+
+    _fields = ("word", "kind", "parent", "edge", "poly", "reduced")
+
+    def __init__(self, word: str, kind: str, parent: str | None, edge: str,
+                 poly: IntPolynomial, reduced: IntPolynomial | None):
+        self.word, self.kind, self.parent = word, kind, parent
+        self.edge, self.poly, self.reduced = edge, poly, reduced
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"PolyTreeNode({fields})"
+
+    def __eq__(self, other):
+        return type(other) is PolyTreeNode and all(
+            getattr(self, n) == getattr(other, n) for n in self._fields)
 
 
 def build_polynomial_tree(max_level: int) -> dict[int, list[PolyTreeNode]]:
