@@ -20,6 +20,7 @@ from typing import Iterator, NamedTuple
 
 from .polynomials import bisect_sign
 from .words import (
+    LAP_SIGN,
     RANK,
     SymbolWord,
     TAIL_A_INF,
@@ -39,8 +40,6 @@ class PoleError(ArithmeticError):
 
     def __init__(self, x: float, iteration: int = 0):
         super().__init__(f"pole proximity at x={x!r} (iteration {iteration})")
-        self.x = x
-        self.iteration = iteration
 
 
 # ----------------------------------------------------------------------
@@ -359,7 +358,7 @@ def find_superstable_parameter(word, bracket: tuple[float, float] | None = None,
     # signs[i] = -1 after an odd count of B or L: the order flips at index i
     signs = [1]
     for t in expected:
-        signs.append(-signs[-1] if t in "BL" else signs[-1])
+        signs.append(-signs[-1] if LAP_SIGN[t] < 0 else signs[-1])
 
     def read(c: float) -> int:
         # realized > word means c is below the target, realized < word above;

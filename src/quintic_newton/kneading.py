@@ -8,9 +8,9 @@ Deleting one column of the resulting 4 x 5 matrix, taking the determinant
 of the numerators and dividing by the row factors and by (1 - eps*t) gives
 a determinant D(t) that does not depend on the deleted column.  Only the
 zero's row depends on the word, so D is taken as the expansion along that
-row: the other three rows give each struck column's cofactors once, at
-import, with the (1 - t^m) factors they share cancelled against the
-denominator in advance.  ``kneading_determinant`` hands D out as a plain
+row: the other three rows give a struck column's cofactors on first use,
+once per column, with the (1 - t^m) factors they share cancelled against
+the denominator in advance.  ``kneading_determinant`` hands D out as a plain
 pair: its integer numerator and the sorted exponents m of its (1 - t^m)
 factors.  For a critical cycle of length k the combination
 
@@ -33,7 +33,7 @@ tested against.
 """
 from __future__ import annotations
 
-import itertools
+import functools
 from typing import Sequence
 
 from .polynomials import IntPolynomial
@@ -52,9 +52,6 @@ from .words import (
 # increment components; C never shows up in an increment
 ALPHABET = "ABLMR"
 _IDX = {s: i for i, s in enumerate(ALPHABET)}
-
-# slope sign of the map on each branch, in ALPHABET order
-COLUMN_SIGNS = (1, -1, -1, 1, 1)
 
 
 class StructureError(ValueError):
@@ -171,36 +168,28 @@ def _det(rows: list[Sequence[IntPolynomial]]) -> IntPolynomial:
     return acc
 
 
-# the 3 x 3 minors of the three universal rows, by the columns they keep
-_MINORS = {cols: _det([[_UNIVERSAL_ROWS[i][c] for c in cols] for i in (0, 1, 3)])
-           for cols in itertools.combinations(range(len(ALPHABET)), 3)}
+@functools.cache
+def _column_oracle(column: str) -> tuple[tuple[IntPolynomial, ...], tuple[int, ...]]:
+    """D's cofactors for the struck column and the denominator exponents
+    that stay once the (1 - t^m) factors all the cofactors share are
+    cancelled.  Built on first use, once per column.
 
-
-def _signed_cofactors(j: int) -> list[IntPolynomial]:
-    """The cofactors of the zero row, nu_2, in the increment matrix with
-    column j struck out, one per column of ALPHABET (zero at j).  Only the
-    three universal rows enter them, so they do not depend on the word."""
-    out = [IntPolynomial()] * len(ALPHABET)
-    cols = [c for c in range(len(ALPHABET)) if c != j]
-    for p, c in enumerate(cols):
-        minor = _MINORS[tuple(d for d in cols if d != c)]
-        out[c] = minor if p % 2 == 0 else -minor
-    return out
-
-
-def _column_oracle(j: int) -> tuple[tuple[IntPolynomial, ...], tuple[int, ...]]:
-    """D's cofactors for struck column j and the denominator exponents that
-    stay once the (1 - t^m) factors all the cofactors share are cancelled.
-
-    The struck column contributes its sign (-1)^j and the division by
-    (1 - eps*t), written as (1 - t) or, for eps = -1, as (1 - t) / (1 - t^2);
-    the universal rows contribute (1 - t)^3.  nu_2's own row factor
-    (1 - t^q) belongs to the word and is added per call."""
-    cofactors = _signed_cofactors(j)
+    The cofactors of the zero row nu_2, one per column of ALPHABET (zero at
+    the struck one), are signed 3 x 3 minors of the three universal rows,
+    so they do not depend on the word.  The struck column j contributes
+    its sign (-1)^j and the division by (1 - eps*t), eps its slope sign,
+    written as (1 - t) or, for eps = -1, as (1 - t) / (1 - t^2); the
+    universal rows contribute (1 - t)^3.  nu_2's own row factor (1 - t^q)
+    belongs to the word and is added per call."""
+    j = _IDX[column]
+    rows = [_UNIVERSAL_ROWS[i] for i in (0, 1, 3)]
+    kept = [c for c in range(len(ALPHABET)) if c != j]
+    cofactors = [IntPolynomial()] * len(ALPHABET)
+    for p, c in enumerate(kept):
+        minor = _det([[r[d] for d in kept if d != c] for r in rows])
+        cofactors[c] = minor if (p + j) % 2 == 0 else -minor
     factors = [1, 1, 1]
-    if j % 2 == 1:
-        cofactors = [-k for k in cofactors]
-    if COLUMN_SIGNS[j] > 0:
+    if LAP_SIGN[column] > 0:
         factors.append(1)
     else:
         cofactors = [k - k.shift(1) for k in cofactors]    # * (1 - t)
@@ -216,9 +205,6 @@ def _column_oracle(j: int) -> tuple[tuple[IntPolynomial, ...], tuple[int, ...]]:
     return tuple(cofactors), tuple(factors)
 
 
-_COLUMN_ORACLES = {s: _column_oracle(j) for j, s in enumerate(ALPHABET)}
-
-
 def kneading_determinant(word, column: str = "B"
                          ) -> tuple[IntPolynomial, tuple[int, ...]]:
     """D(t) from the increment matrix with one column struck out, as
@@ -228,11 +214,11 @@ def kneading_determinant(word, column: str = "B"
     The value is independent of the choice of column; its representation
     is not.  Only the zero row nu_2 depends on the word, so the determinant
     is the expansion along it: nu_2's numerators times the struck column's
-    cofactors, which are computed once at import with their shared
-    (1 - t^m) factors already cancelled against the denominator, over what
-    is left of it and nu_2's own (1 - t^q).
+    cofactors, which are computed on first use, once per column, with their
+    shared (1 - t^m) factors already cancelled against the denominator,
+    over what is left of it and nu_2's own (1 - t^q).
     """
-    cofactors, factors = _COLUMN_ORACLES[column]
+    cofactors, factors = _column_oracle(column)
     nu, q = kneading_increment(word)
     num = IntPolynomial()
     for a, k in zip(nu, cofactors):

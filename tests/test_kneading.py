@@ -107,7 +107,7 @@ def laplace_determinant(word, column):
     factors = [q for _, q in rows]
     if j % 2 == 1:
         num = -num
-    if kneading.COLUMN_SIGNS[j] > 0:
+    if LAP_SIGN[column] > 0:
         factors.append(1)
     else:
         num = num * IntPolynomial.one_minus_t_power(1)     # 1/(1+t) = (1-t)/(1-t^2)
@@ -126,13 +126,12 @@ def test_expansion_along_the_zero_row_matches_the_laplace_reference():
 
 
 def test_column_b_cofactors_have_their_closed_forms():
-    # the cofactors of the zero row with B struck out, by column A B L M R;
-    # the three nonzero ones share the factor 1 - t^2
-    cofactors = kneading._signed_cofactors("ABLMR".index("B"))
-    assert [k.to_list() for k in cofactors] == [
-        [], [], [0, -1, 0, 1], [-1, 2, 1, -2], [-1, 1, 1, -1]]
-    one_minus_t2 = IntPolynomial.one_minus_t_power(2)
-    assert all(k.try_div_exact(one_minus_t2) is not None for k in cofactors)
+    # the cofactors of the zero row with B struck out, by column A B L M R,
+    # once their shared (1 - t)(1 - t^2) is cancelled: the weights w of the
+    # numerator kernel, 0, 0, t, 1 - 2t and 1 - t, over (1 - t)^2
+    cofactors, factors = kneading._column_oracle("B")
+    assert [k.to_list() for k in cofactors] == [[], [], [0, 1], [1, -2], [1, -1]]
+    assert factors == (1, 1)
 
 
 # ----------------------------------------------------------------------

@@ -53,8 +53,8 @@ def _fields(tree: ast.Module):
     A record's fields are the annotated names in the body of a dataclass
     or NamedTuple; a subclass of a record defined in the same module (a
     NamedTuple with a validating ``__new__``) has its base's fields; and
-    a class with no base and an ``__init__`` has the ``self`` attributes
-    that ``__init__`` assigns."""
+    a class with an ``__init__``, an exception class included, has the
+    ``self`` attributes that ``__init__`` assigns."""
     records: dict[str, list[str]] = {}
     for node in tree.body:
         if not isinstance(node, ast.ClassDef):
@@ -69,7 +69,7 @@ def _fields(tree: ast.Module):
                        and isinstance(item.target, ast.Name)]
         inits = [item for item in node.body
                  if isinstance(item, ast.FunctionDef) and item.name == "__init__"]
-        if inits and not node.bases:
+        if inits:
             fields += [t.attr for t in ast.walk(inits[0])
                        if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)
                        and isinstance(t.value, ast.Name) and t.value.id == "self"]
