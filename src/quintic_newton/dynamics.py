@@ -111,12 +111,10 @@ class CriticalFrame:
 
     @functools.cached_property
     def d0(self) -> float:
-        c, a, d1 = self.c, -self.c, self.d1
-        # f is positive at d1 (local max) and falls to -inf leftwards: bracket
-        # down until the sign flips, then halve to adjacent floats, f >= 0 at hi
-        lo, hi = d1 - 1.0, d1
-        while quintic_value(a, 1.0, lo) >= 0.0:
-            lo = d1 + 2.0 * (lo - d1)
+        c, a = self.c, -self.c
+        # f > 0 at d1 (local max), and f(-R) <= R(c + 1 - R^4) < 0 for
+        # R = 2(c + 1)^(1/4) > |d1|: halve to adjacent floats, f >= 0 at hi
+        lo, hi = -2.0 * (c + 1.0) ** 0.25, self.d1
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
@@ -126,11 +124,12 @@ class CriticalFrame:
             else:
                 hi = mid
         d0 = 0.5 * (lo + hi)
-        # a couple of Newton polish steps squeeze out the last bits
+        # a couple of Newton polish steps squeeze out the last bits; a step
+        # where f overflows (c above about 7e244) is skipped
         for _ in range(3):
-            fp = 5.0 * d0 ** 4 - c
-            if fp != 0.0:
-                d0 -= quintic_value(a, 1.0, d0) / fp
+            fx, fp = quintic_value(a, 1.0, d0), 5.0 * d0 ** 4 - c
+            if fp != 0.0 and math.isfinite(fx):
+                d0 -= fx / fp
         return d0
 
 

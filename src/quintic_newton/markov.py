@@ -34,15 +34,15 @@ from .kneading import kneading_numerator
 # unused here; perfbench/tracing.py interposes on these names in this module
 from .kneading import determinant_polynomial, kneading_determinant  # noqa: F401
 from .polynomials import IntPolynomial, smallest_root_in
-from .words import TAIL_UNRESOLVED
+from .words import TAIL_UNRESOLVED, as_word
 
 # entropy lives in [0, log(1+sqrt(2))]; the smallest admissible root of the
 # entropy polynomials is sqrt(2)-1, searched with a hair of margin
 BAND_ROOT_LO = math.sqrt(2.0) - 1.0
 
 # the critical orbit of a cycle parameter returns within RETURN_TOL of zero
-# in at most CRITICAL_PERIOD_CAP steps; partition points closer than
-# COLLISION_TOL to a marked point or to each other collide
+# in at most CRITICAL_PERIOD_CAP steps; partition cuts closer than
+# COLLISION_TOL to each other collide
 CRITICAL_PERIOD_CAP = 64
 RETURN_TOL = 1e-6
 COLLISION_TOL = 1e-9
@@ -95,44 +95,33 @@ def critical_orbit(c: float) -> list[float]:
 def markov_partition(c: float) -> MarkovPartition:
     """Cut the line along the marked points and the critical orbit.
 
+    d0, d1, d3 and the orbit are sorted once into one list of cuts, which
+    is checked (adjacent cuts closer than COLLISION_TOL collide) and mapped.
     The piece between the free root and the left pole is transient — no
-    orbit point lies there and nothing maps back into it — so it is left
-    out of the state set.  The image limits are read off the construction,
-    with no evaluation of N: each orbit point goes to the next and the last
-    back to 0 (``critical_orbit`` checked that return), the free root d0 is
-    fixed, and +-inf stay put since N(x) ~ 4x/5.  At a pole the numerator
-    4x^5 - 1 = -f < 0 while 5x^4 - c changes sign, so the outer side goes
-    to -inf and the inner side to +inf.
+    orbit point lies there, so d1 follows d0, and nothing maps back into
+    it — so it is left out of the state set.  The image limits are read off
+    the construction, with no evaluation of N: each orbit point goes to the
+    next and the last back to 0 (``critical_orbit`` checked that return),
+    the free root d0 is fixed, and +-inf stay put since N(x) ~ 4x/5.  At a
+    pole the numerator 4x^5 - 1 = -f < 0 while 5x^4 - c changes sign, so
+    the outer side goes to -inf and the inner side to +inf.
     """
     frame = critical_frame(c)
+    d0, d1, d3 = frame.d0, frame.d1, frame.d3
     pts = critical_orbit(c)
-    marked = [frame.d0, frame.d1, frame.d3]
-    for p in pts:
-        for m in marked:
-            if abs(p - m) < COLLISION_TOL:
-                raise ValueError(
-                    f"orbit point {p!r} collides with a marked point {m!r}")
-    for i, p in enumerate(pts):
-        for q in pts[:i]:
-            if abs(p - q) < COLLISION_TOL:
-                raise ValueError(f"degenerate orbit: {p!r} repeats")
-        if frame.d0 < p < frame.d1:
-            raise ValueError(
-                f"orbit point {p!r} inside the transient gap; not a cycle orbit")
-    boundaries = sorted(marked + pts)
-    i0 = boundaries.index(frame.d0)
-    if boundaries[i0 + 1] != frame.d1:
-        raise ValueError("the transient gap is not empty")
-    intervals: list[tuple[float, float]] = [(-math.inf, boundaries[0])]
-    for i in range(len(boundaries) - 1):
-        if i == i0:
-            continue
-        intervals.append((boundaries[i], boundaries[i + 1]))
-    intervals.append((boundaries[-1], math.inf))
+    cuts = sorted([d0, d1, d3, *pts])
+    for p, q in zip(cuts, cuts[1:]):
+        if q - p < COLLISION_TOL:
+            raise ValueError(f"partition points {p!r} and {q!r} collide")
+    gap = cuts[cuts.index(d0) + 1]
+    if gap != d1:
+        raise ValueError(f"orbit point {gap!r} in the transient gap; not a cycle orbit")
+    ends = [-math.inf, *cuts, math.inf]
+    intervals = [(u, w) for u, w in zip(ends, ends[1:]) if u != d0]
     image = dict(zip(pts, pts[1:] + pts[:1]))
-    image[frame.d0] = frame.d0
-    from_right = {**image, -math.inf: -math.inf, frame.d1: math.inf, frame.d3: -math.inf}
-    from_left = {**image, math.inf: math.inf, frame.d1: -math.inf, frame.d3: math.inf}
+    image[d0] = d0
+    from_right = {**image, -math.inf: -math.inf, d1: math.inf, d3: -math.inf}
+    from_left = {**image, math.inf: math.inf, d1: -math.inf, d3: math.inf}
     images = tuple([(from_right[u], from_left[w]) for u, w in intervals])
     return MarkovPartition(tuple(intervals), images)
 
@@ -281,13 +270,9 @@ def _entropy_at(c: float, H: int) -> CurvePoint:
     while True:
         syms = code.symbols
         k = syms.find("C")
-        if k >= 0:
-            word = syms[: k + 1]
-            root = _band_root(kneading_numerator(word))
-            return _curve_point(c, root, "kneading", len(word))
-        if code.stop == STOP_POLE and len(syms) < 24:
+        if k < 0 and code.stop == STOP_POLE and len(syms) < 24:
             raise code.pole_error()
-        word = code.word()
+        word = as_word(syms[: k + 1]) if k >= 0 else code.word()
         if word.tail != TAIL_UNRESOLVED:
             root = _band_root(kneading_numerator(word))
             return _curve_point(c, root, "kneading", word.period or 0)

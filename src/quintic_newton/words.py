@@ -91,6 +91,11 @@ class SymbolWord(_Word):
             raise WordError(f"unknown tail kind {tail!r}")
         return tuple.__new__(cls, (head, tail, start))
 
+    @classmethod
+    def _make(cls, iterable) -> "SymbolWord":
+        """Build through the checks; the inherited ``_replace`` calls this."""
+        return cls(*iterable)
+
     # -- queries -------------------------------------------------------
     @property
     def period(self) -> int | None:

@@ -171,7 +171,12 @@ FREE_ROOT_HEX = {
     1.0: "-0x1.2ad46efb1f9cfp+0",
     1.6: "-0x1.3ebd4c376fbcfp+0",
     1.649: "-0x1.403ad284b7fb4p+0",
-    1000.0: "-0x1.67ea1927d4d38p+2",   # f(d1 - 1) > 0: the bracket widens
+    1000.0: "-0x1.67ea1927d4d38p+2",   # d0 lies more than 1 left of d1
+    # recorded while the bracket doubled leftwards from d1 - 1 until f < 0;
+    # the closed-form bracket -2 (c + 1)^(1/4) keeps the same bits
+    1e6: "-0x1.f9f6e4dc2b00ep+4",
+    1e30: "-0x1.e286789a07f2fp+24",
+    1e60: "-0x1.c6bf526340000p+49",
 }
 
 # sha256 over one line per polynomial of test_polynomials.planted_root_polys

@@ -1,6 +1,9 @@
 import hashlib
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +157,33 @@ def test_free_root_is_found_on_demand_with_the_same_bits(monkeypatch):
     assert len(frames) == 6 and not any("d0" in g.__dict__ for g in frames)
     assert letter(1.0, f.d1 - 1e-3) == "B"
     assert "d0" in frames[-1].__dict__
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+_HUGE_C = """\
+import math, sys
+sys.path.insert(0, sys.argv[1])
+from quintic_newton.cli import main
+from quintic_newton.dynamics import critical_frame, quintic_value
+for c in (1e66, 1e70, 1e300):
+    f = critical_frame(c)
+    left = quintic_value(-c, 1.0, math.nextafter(f.d0, -math.inf))
+    print(math.isfinite(f.d0), f.d0 < f.d1, left < 0.0)
+main(["itinerary", "1e70", "--x0=-1e20", "--length", "3"])
+"""
+
+
+def test_free_root_is_bracketed_at_huge_c():
+    # from |d1| >= 2^54 on, d1 - 1 rounds to d1, and a bracket that doubles
+    # its distance from d1 never moves; a fresh interpreter with a timeout
+    # turns such a stall into a failure instead of a hung suite
+    proc = subprocess.run([sys.executable, "-I", "-c", _HUGE_C, str(SRC)],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:3] == ["True True True"] * 3
+    assert lines[3] == "A^inf"
 
 
 def test_classify_letters_around_every_marked_point():

@@ -15,6 +15,7 @@ from quintic_newton.dynamics import (
     newton_eval,
 )
 from quintic_newton.kneading import determinant_polynomial, kneading_determinant
+import quintic_newton.markov as markov
 from quintic_newton.markov import (
     char_poly,
     critical_orbit,
@@ -65,6 +66,19 @@ def test_partition_structure(c_rlrc):
     gaps = [(hi, lo) for (_, hi), (lo, _) in zip(part.intervals, part.intervals[1:])
             if hi != lo]
     assert gaps == [(frame.d0, frame.d1)]
+
+
+@pytest.mark.parametrize("bad", ["near d1", "repeat", "transient gap"])
+def test_partition_refuses_colliding_or_transient_cuts(bad, c_rlrc, monkeypatch):
+    frame = critical_frame(c_rlrc)
+    orbit = {
+        "near d1": [0.0, frame.d1 + 1e-10, 0.5],
+        "repeat": [0.0, 0.3, 0.3],
+        "transient gap": [0.0, 0.5 * (frame.d0 + frame.d1), 0.5],
+    }[bad]
+    monkeypatch.setattr(markov, "critical_orbit", lambda c: orbit)
+    with pytest.raises(ValueError):
+        markov_partition(c_rlrc)
 
 
 def test_rlrc_transition_matrix_is_exact(c_rlrc):

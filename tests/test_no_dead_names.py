@@ -98,6 +98,11 @@ def _parsed(directory: Path):
             yield path, ast.parse(path.read_text(), str(path))
 
 
+# called by name only from the standard library: NamedTuple's _replace
+# builds its result through _make, which SymbolWord overrides to check it
+CALLED_BY_STDLIB = {"words.SymbolWord._make"}
+
+
 def _test_only_names() -> set[str]:
     used: Counter = Counter()
     for directory in CALLER_DIRS:
@@ -109,7 +114,7 @@ def _test_only_names() -> set[str]:
             name = qualname.rsplit(".", 1)[-1]
             if used[name] - _references(node)[name] <= 0:
                 dead.add(f"{path.stem}.{qualname}")
-    return dead
+    return dead - CALLED_BY_STDLIB
 
 
 def test_every_name_in_the_package_is_used():

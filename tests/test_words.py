@@ -51,6 +51,18 @@ def test_word_validation():
         SymbolWord("RXC", TAIL_PERIODIC, 0)
 
 
+def test_replace_runs_the_word_checks():
+    w = as_word("RLRC")
+    with pytest.raises(WordError) as err:
+        w._replace(head="XYZ")
+    assert str(err.value) == "unknown symbols 'XYZ' in 'XYZ'"
+    with pytest.raises(WordError):
+        w._replace(start=4)
+    # the periodic tail carries over to the new head
+    assert w._replace(head="RC") == as_word("RC") == SymbolWord("RC", TAIL_PERIODIC, 0)
+    assert type(w._replace(head="RC")) is SymbolWord
+
+
 def test_shift_rotates_the_periodic_block():
     w = SymbolWord("RLRC", TAIL_PERIODIC, 0)
     assert str(w.shift(1)) == "(LRCR)^"
