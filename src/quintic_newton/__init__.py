@@ -13,7 +13,6 @@ from .words import (
     TAIL_UNRESOLVED,
     TreeNode,
     WordError,
-    admissible_convergents,
     admissible_cycles,
     generate_tree,
     is_admissible,
@@ -101,7 +100,7 @@ __all__ = [
     "LAP_SIGN", "SYMBOLS", "SymbolWord",
     "TAIL_A_INF", "TAIL_PERIODIC", "TAIL_UNRESOLVED",
     "TreeNode", "WordError",
-    "admissible_convergents", "admissible_cycles", "generate_tree",
+    "admissible_cycles", "generate_tree",
     "is_admissible", "order_compare", "parse_parent", "transition_allowed",
     "PolyTreeNode", "StructureError",
     "build_polynomial_tree", "convergent_polynomial", "cycle_polynomial",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import Iterator, NamedTuple
 
 from .polynomials import bisect_sign
@@ -137,7 +138,9 @@ def critical_frame(c: float) -> CriticalFrame:
     """Compute the frame for c > 0 (poles require a positive parameter)."""
     if not (c > 0.0 and math.isfinite(c)):
         raise ValueError(f"the critical frame needs c > 0, got {c!r}")
-    d1 = -((c / 5.0) ** 0.25)
+    q = c / 5.0
+    # a subnormal quotient has lost bits of the pole, and is 0 below about 2.5e-323
+    d1 = -(q ** 0.25) if q >= sys.float_info.min else -(c ** 0.25) / 5.0 ** 0.25
     return CriticalFrame(c, d1, -d1)
 
 

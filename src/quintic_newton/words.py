@@ -35,13 +35,14 @@ _SYMBOL_SET = frozenset(SYMBOLS)
 # sign of the map's slope on each piece; C is the turning point itself
 LAP_SIGN = {"A": 1, "B": -1, "L": -1, "M": 1, "R": 1, "C": 0}
 
-# which letter can follow which, for the five interval letters
+# which letter can follow which along an orbit
 _FOLLOWERS = {
     "A": "A",
     "B": "A",
     "L": "MR",
+    "C": "MR",
     "M": "MR",
-    "R": "ABLMR",
+    "R": "ABLMRC",
 }
 # the letters of an admissible word, apart from a closing C or A
 _INTERIOR = frozenset("LMR")
@@ -223,10 +224,6 @@ def transition_allowed(a: str, b: str) -> bool:
     """May symbol b directly follow symbol a along an orbit?"""
     if a not in RANK or b not in RANK:
         raise WordError(f"unknown symbols {a!r}, {b!r}")
-    if a == "C":
-        return b in "MR"
-    if b == "C":
-        return a == "R"
     return b in _FOLLOWERS[a]
 
 
@@ -268,31 +265,26 @@ def is_admissible(w) -> bool:
 # enumeration
 # ----------------------------------------------------------------------
 
-def _admissible_words(k: int, close: str) -> list[str]:
-    """Admissible words of length k ending in ``close`` (C or A), sorted.
+def _admissible_words(k: int, closes: str) -> list[str]:
+    """Admissible words of length k ending in a letter of ``closes`` (C, A
+    or both), sorted by order_compare.
 
     Candidates are the walks on the transition graph over L, M, R that
-    start on the positive side and end in R, the only interior letter
-    that may precede C or A, generated in the lexicographic order of their
-    letters so that words ``order_compare`` cannot tell apart keep it.
-    ``is_admissible`` then checks shift dominance.
+    start from C's row and whose last letter the table lets close with
+    the given letter; ``is_admissible`` then checks shift dominance.  Two
+    distinct words of one length differ within it, so no two compare equal.
     """
-    walks = [""]
+    walks = ["C"]
     for _ in range(k - 1):
-        walks = [w + s for w in walks
-                 for s in (_FOLLOWERS[w[-1]] if w else "MR") if s in "LMR"]
-    words = [as_word(w + close) for w in walks if w.endswith("R")]
+        walks = [w + s for w in walks for s in _FOLLOWERS[w[-1]] if s in _INTERIOR]
+    words = [as_word(w[1:] + close) for w in walks
+             for close in closes if close in _FOLLOWERS[w[-1]]]
     return [w.head for w in sorted(filter(is_admissible, words), key=_by_order)]
 
 
 def admissible_cycles(k: int) -> list[str]:
     """All admissible cycle words of length k, sorted by order_compare."""
     return _admissible_words(k, "C")
-
-
-def admissible_convergents(k: int) -> list[str]:
-    """All admissible convergent words of length k, sorted by order_compare."""
-    return _admissible_words(k, "A")
 
 
 # ----------------------------------------------------------------------
@@ -342,10 +334,10 @@ def generate_tree(max_level: int) -> dict[int, list[TreeNode]]:
     """Admissible words by level with their tree structure.
 
     Level k holds every admissible cycle word and convergent word of
-    length k, each level sorted by order_compare (a cycle first where the
-    order ties).  Cycle nodes point to their structural parent (chaining
-    through non-admissible intermediates when necessary); convergent nodes
-    hang off the cycle word with the same interior.
+    length k, each level sorted by order_compare.  Cycle nodes point to
+    their structural parent (chaining through non-admissible intermediates
+    when necessary); convergent nodes hang off the cycle word with the
+    same interior.
     """
     if max_level < 2:
         raise ValueError("max_level must be at least 2")
@@ -354,10 +346,10 @@ def generate_tree(max_level: int) -> dict[int, list[TreeNode]]:
     # parents and a convergent's cycle are never longer
     cycles_so_far: set[str] = set()
     for k in range(2, max_level + 1):
-        cycles = admissible_cycles(k)
-        cycles_so_far.update(cycles)
+        words = _admissible_words(k, "CA")
+        cycles_so_far.update(w for w in words if w.endswith("C"))
         bucket: list[TreeNode] = []
-        for w in _merge_by_order(cycles, admissible_convergents(k)):
+        for w in words:
             kind = "cycle" if w.endswith("C") else "convergent"
             if kind == "cycle":
                 parent, edge = _nearest_admissible_ancestor(w, cycles_so_far)
@@ -371,19 +363,6 @@ def generate_tree(max_level: int) -> dict[int, list[TreeNode]]:
             bucket.append(TreeNode(w, kind, parent, edge))
         levels[k] = bucket
     return levels
-
-
-def _merge_by_order(first: list[str], second: list[str]) -> list[str]:
-    """Merge two lists sorted by order_compare into one; where the order
-    ties, words of ``first`` come first, as in a stable sort of both."""
-    merged, j = [], 0
-    for w in first:
-        while j < len(second) and order_compare(second[j], w) < 0:
-            merged.append(second[j])
-            j += 1
-        merged.append(w)
-    merged.extend(second[j:])
-    return merged
 
 
 def _nearest_admissible_ancestor(word: str, admissible: set[str]) -> tuple[str | None, str]:

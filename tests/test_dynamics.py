@@ -139,6 +139,15 @@ def test_critical_frame_structure():
         critical_frame(-1.0)
 
 
+def test_poles_survive_a_subnormal_c():
+    # c / 5 is subnormal below about 1.1e-307 and 0 below about 2.5e-323
+    for c in (1e-323, 5e-324):
+        assert critical_frame(c).d1 < 0.0
+        assert letter(c, -1e-100) == "L"
+    want = -(1e-320 ** 0.25) / 5 ** 0.25
+    assert abs(critical_frame(1e-320).d1 - want) <= 1e-15 * abs(want)
+
+
 def test_free_root_is_found_on_demand_with_the_same_bits(monkeypatch):
     for c, d0_hex in FREE_ROOT_HEX.items():
         assert critical_frame(c).d0.hex() == d0_hex, c

@@ -25,7 +25,6 @@ from quintic_newton.words import (
     SymbolWord,
     TAIL_A_INF,
     TAIL_PERIODIC,
-    admissible_convergents,
     admissible_cycles,
     generate_tree,
     parse_parent,
@@ -258,8 +257,7 @@ def test_a_tail_words_share_the_convergent_polynomial():
 
 def test_kernel_equals_the_determinant_on_cycle_and_convergent_words():
     words = list(CIRCLES) + list(SQUARES)
-    for k in range(2, 11):
-        words += admissible_cycles(k) + admissible_convergents(k)
+    words += [node.word for nodes in generate_tree(10).values() for node in nodes]
     # the formally valid intermediates the tree recursion passes through
     for n in range(6):
         words += ["".join(p) + "RC" for p in itertools.product("LMR", repeat=n)]

@@ -9,7 +9,8 @@ here.  A constant (an upper-case name assigned at module level) counts as
 read only from ``src/``: the benchmark keeps its own constants, and one of
 the same name there would hide the package's.  A field of a record (see
 ``_fields`` for what counts as one) counts as read when code in ``src/``
-or ``perfbench/`` reads an attribute of that name.
+or ``perfbench/`` reads an attribute of that name.  The package's
+``__all__`` names exactly the public names it binds, submodules aside.
 """
 import ast
 from collections import Counter
@@ -162,3 +163,16 @@ def test_every_record_has_its_fields_checked():
             for path, tree in _parsed(PACKAGE) for qualname, _ in _fields(tree)}
     assert RECORDS <= seen, "records whose fields go unchecked: " \
         + ", ".join(sorted(RECORDS - seen))
+
+
+def test_the_public_surface_matches_all():
+    import types
+
+    import quintic_newton
+    exported = set(quintic_newton.__all__)
+    missing = sorted(n for n in exported if not hasattr(quintic_newton, n))
+    bound = {name for name, value in vars(quintic_newton).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    unlisted = sorted(bound - exported)
+    assert not missing, "__all__ names the package does not bind: " + ", ".join(missing)
+    assert not unlisted, "public names missing from __all__: " + ", ".join(unlisted)

@@ -16,7 +16,7 @@ from quintic_newton.polynomials import (
     bisect_sign,
     smallest_root_in,
 )
-from quintic_newton.words import admissible_convergents, admissible_cycles
+from quintic_newton.words import generate_tree
 
 coeff_lists = st.lists(st.integers(-9, 9), min_size=0, max_size=8)
 
@@ -289,10 +289,10 @@ def test_smallest_root_in_is_pinned_on_planted_roots():
 
 def test_smallest_root_in_matches_the_scan_bitwise_on_kneading_words():
     lo, checked = BAND_ROOT_LO - 1e-9, 0
-    for level in range(2, 10):
-        for w in admissible_cycles(level) + admissible_convergents(level):
-            p = kneading_numerator(w)
-            assert smallest_root_in(p, lo, 1.0) == scan_oracle(p, lo, 1.0), w
+    for nodes in generate_tree(9).values():
+        for node in nodes:
+            p = kneading_numerator(node.word)
+            assert smallest_root_in(p, lo, 1.0) == scan_oracle(p, lo, 1.0), node.word
             checked += 1
     assert checked == 555
 

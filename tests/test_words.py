@@ -17,7 +17,6 @@ from quintic_newton.words import (
     TAIL_PERIODIC,
     TAIL_UNRESOLVED,
     WordError,
-    admissible_convergents,
     admissible_cycles,
     as_word,
     generate_tree,
@@ -143,6 +142,18 @@ def test_transition_rules():
     assert transition_allowed("C", "R") and not transition_allowed("C", "A")
 
 
+# the pairs ab where b may follow a, with C's two rules: C -> M or R, only R -> C
+ALLOWED_PAIRS = {"AA", "BA", "LM", "LR", "CM", "CR", "MM", "MR",
+                 "RA", "RB", "RL", "RM", "RR", "RC"}
+
+
+def test_transition_rules_on_every_pair_of_letters():
+    for a, b in itertools.product(SYMBOLS, repeat=2):
+        assert transition_allowed(a, b) == (a + b in ALLOWED_PAIRS), a + b
+    with pytest.raises(WordError):
+        transition_allowed("R", "X")
+
+
 def test_admissibility_fixtures():
     assert is_admissible("RLRC")
     assert not is_admissible("LMAC")
@@ -227,6 +238,11 @@ def test_admissible_counts_match_brute_force():
         assert sorted(got) == sorted(brute)
 
 
+def _convergents(k: int) -> list[str]:
+    """The convergent words of level k of the tree."""
+    return [node.word for node in generate_tree(k)[k] if node.kind == "convergent"]
+
+
 def test_admissible_convergents_match_brute_force():
     # absorbed spellings such as RAA and RBA share RA's numerator; only RA
     # is admissible, so the brute force finds exactly the listed words
@@ -234,7 +250,7 @@ def test_admissible_convergents_match_brute_force():
         brute = ["".join(w) + "A"
                  for w in itertools.product("ABLCMR", repeat=k - 1)
                  if is_admissible("".join(w) + "A")]
-        assert sorted(admissible_convergents(k)) == sorted(brute), k
+        assert sorted(_convergents(k)) == sorted(brute), k
 
 
 def test_admissible_cycles_level_7_count():
@@ -249,9 +265,18 @@ def test_cycles_are_sorted_by_order():
 
 
 def test_convergent_words():
-    assert admissible_convergents(2) == ["RA"]
-    assert sorted(admissible_convergents(3)) == ["MRA", "RRA"]
-    assert len(admissible_convergents(6)) == 13
+    assert _convergents(2) == ["RA"]
+    assert sorted(_convergents(3)) == ["MRA", "RRA"]
+    assert len(_convergents(6)) == 13
+
+
+def test_no_two_words_of_a_tree_level_compare_equal():
+    # distinct words of one length differ within it, so one sort of a
+    # level's cycle and convergent words needs no rule for ties
+    for k, nodes in generate_tree(12).items():
+        words = [node.word for node in nodes]
+        for a, b in zip(words, words[1:]):
+            assert order_compare(a, b) < 0, (k, a, b)
 
 
 # ----------------------------------------------------------------------
