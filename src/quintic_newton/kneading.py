@@ -3,14 +3,16 @@
 Each of the four marked points of the critical frame (free root, left pole,
 zero, right pole) has one-sided symbolic futures; the weighted difference of
 their invariant coordinates is a row over the five interval symbols, held
-as integer polynomial numerators over one factor (1 - t^q) per row.
-Deleting one column of the resulting 4 x 5 matrix, taking the determinant
-of the numerators and dividing by the row factors and by (1 - eps*t) gives
-a determinant D(t) that does not depend on the deleted column.  Only the
-zero's row depends on the word, so D is taken as the expansion along that
-row: the other three rows give a struck column's cofactors on first use,
-once per column, with the (1 - t^m) factors they share cancelled against
-the denominator in advance.  ``kneading_determinant`` hands D out as a plain
+as integer polynomial numerators over one factor (1 - t^q) per row.  The
+zero's two futures are M.K and L.K for the kneading sequence K, so its row
+is read off the one coordinate of K.  Deleting one column of the
+resulting 4 x 5 matrix, taking the determinant of the numerators and
+dividing by the row factors and by (1 - eps*t) gives a determinant D(t)
+that does not depend on the deleted column.  Only the zero's row depends
+on the word, so D is taken as the expansion along that row: the other
+three rows give a struck column's cofactors on first use, once per
+column, with the (1 - t^m) factors they share cancelled against the
+denominator in advance.  ``kneading_determinant`` hands D out as a plain
 pair: its integer numerator and the sorted exponents m of its (1 - t^m)
 factors.  For a critical cycle of length k the combination
 
@@ -27,7 +29,7 @@ keeps the polynomials it has built in a dict that lives for that one call,
 so each word, the non-admissible intermediates included, costs one step;
 it cross-checks every node against the determinant and refuses to hand
 out a tree where the two routes disagree.  ``kneading_numerator`` reads
-the same numerator straight off the word as one integer series; every
+the same numerator straight off the same K as one integer series; every
 entropy route uses it, and the determinant is kept as the oracle it is
 tested against.
 """
@@ -116,13 +118,13 @@ _UNIVERSAL_ROWS = {
 }
 
 
-def _critical_side_streams(word) -> tuple[SymbolWord, SymbolWord]:
-    """One-sided symbol streams of the zero point for a kneading word.
+def _kneading_sequence(word) -> SymbolWord:
+    """The kneading sequence K of a word: the future of the zero past its
+    first symbol, which its two one-sided streams M.K and L.K share.
 
-    For a cycle word the recurrence of zero resolves to M or L according to
-    the product of slope signs over the interior (the two sides then agree
-    from that point on); for other resolved words the two streams differ
-    only in the leading symbol.
+    A cycle word's K is the word with its C read as the side the return
+    takes, M or L by the product of the interior's slope signs, so its
+    block has slope sign +1; any other resolved word is its own K.
     """
     word = as_word(word)
     head = word.head
@@ -131,25 +133,24 @@ def _critical_side_streams(word) -> tuple[SymbolWord, SymbolWord]:
         sign = 1
         for s in interior:
             sign *= LAP_SIGN[s]
-        x = "M" if sign > 0 else "L"
-        k = len(head)
-        return (SymbolWord("M" + interior + x + interior, TAIL_PERIODIC, k),
-                SymbolWord("L" + interior + x + interior, TAIL_PERIODIC, k))
+        return SymbolWord(interior + ("M" if sign > 0 else "L"), TAIL_PERIODIC, 0)
     if "C" in head or word.tail == TAIL_UNRESOLVED:
-        raise WordError(f"cannot take side streams of {word}")
-    start = word.start + 1 if word.tail == TAIL_PERIODIC else 0
-    return (SymbolWord("M" + head, word.tail, start),
-            SymbolWord("L" + head, word.tail, start))
+        raise WordError(f"no kneading sequence in {word}")
+    return word
 
 
 def kneading_increment(word) -> tuple[Sequence[IntPolynomial], int]:
     """nu_2, the increment at the zero, as ``(numerators, q)`` like
-    ``invariant_coordinate``: the difference of the coordinates of its two
-    side streams.  It is the one row that depends on the kneading word."""
-    # the two streams share their periodic block, hence their q
-    (plus, q), (minus, _) = map(invariant_coordinate,
-                                _critical_side_streams(word))
-    return [a - b for a, b in zip(plus, minus)], q
+    ``invariant_coordinate``: theta(M.K) - theta(L.K) for the kneading
+    sequence K.  L reverses the slope sign and M keeps it, so this is
+    e_M - e_L + 2t*theta(K), over K's own (1 - t^q).  It is the one row
+    that depends on the kneading word."""
+    theta, q = invariant_coordinate(_kneading_sequence(word))
+    nu = [IntPolynomial._trusted([0] + [2 * c for c in a.coeffs]) for a in theta]
+    cut = IntPolynomial.one_minus_t_power(q)
+    nu[_IDX["M"]] += cut
+    nu[_IDX["L"]] -= cut
+    return nu, q
 
 
 # ----------------------------------------------------------------------
@@ -232,8 +233,8 @@ def determinant_polynomial(word) -> IntPolynomial:
 
     Cycle words clear (1-t)^2 (1-t^k); convergent words clear (1-t)^2.
     These cancel exponents of D's denominator, which holds (1 - t)^2 and,
-    for a cycle word, whose side streams repeat a block of length k and
-    slope sign +1, also (1 - t^k); the numerator is divided only by the
+    for a cycle word, whose kneading sequence repeats a block of length k
+    and slope sign +1, also (1 - t^k); the numerator is divided only by the
     factors that remain.  Raises ArithmeticError if the result fails to be
     a polynomial, which would mean the word does not carry a consistent
     increment."""
@@ -267,10 +268,10 @@ def kneading_numerator(word) -> IntPolynomial:
     head gives S itself; a periodic tail of period p whose block has slope
     sign sigma is summed in closed form and cleared by (1 - sigma*t^p).
     Cycle and convergent words get ``determinant_polynomial`` exactly.  The
-    sequence comes from the determinant's own side stream, so both routes
-    accept, and reject, the same words.
+    kernel and the determinant read one ``_kneading_sequence``, so both
+    routes accept, and reject, the same words.
     """
-    seq = _critical_side_streams(word)[0].shift(1)
+    seq = _kneading_sequence(word)
     cut = seq.start if seq.tail == TAIL_PERIODIC else len(seq.head)
     coeffs = [1, -3] + [0] * len(seq.head)
     eps = 1

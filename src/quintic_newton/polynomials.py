@@ -315,8 +315,7 @@ def bisect_sign(f, a, b, fa, tol):
     ends the halving on the bracket it halved, whose midpoint it is; floats
     also stop at adjacent ends, where the midpoint rounds onto one of them.
     """
-    relative = 1e-16 * b > tol      # b only shrinks: a floor under tol stays under
-    while b - a > (max(tol, 1e-16 * b) if relative else tol):
+    while b - a > max(tol, 1e-16 * b):
         m = (a + b) / 2
         if m == a or m == b:
             break

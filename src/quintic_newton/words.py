@@ -120,27 +120,6 @@ class SymbolWord(_Word):
         block = head[self.start:]
         return (head + block * ((n - len(head)) // len(block) + 1))[:n]
 
-    def shift(self, n: int = 1) -> "SymbolWord":
-        """Drop the first n symbols (the shift map applied n times)."""
-        if n < 0:
-            raise ValueError("cannot shift backwards")
-        if n == 0:
-            return self
-        if self.tail == TAIL_PERIODIC:
-            p = len(self.head) - self.start
-            if n <= self.start:
-                return SymbolWord(self.head[n:], TAIL_PERIODIC, self.start - n)
-            # rotate inside the periodic block
-            r = (n - self.start) % p
-            block = self.head[self.start:]
-            return SymbolWord(block[r:] + block[:r], TAIL_PERIODIC, 0)
-        if self.tail == TAIL_A_INF:
-            if n < len(self.head):
-                h = self.head[n:]
-                return SymbolWord(h, TAIL_A_INF if h[-1] == "A" else TAIL_UNRESOLVED)
-            return SymbolWord("A", TAIL_A_INF)
-        return SymbolWord(self.head[n:], TAIL_UNRESOLVED)
-
     # -- serialization ---------------------------------------------------
     def __str__(self) -> str:
         if self.tail == TAIL_A_INF:

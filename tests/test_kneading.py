@@ -124,6 +124,27 @@ def test_expansion_along_the_zero_row_matches_the_laplace_reference():
                                  laplace_determinant(word, col)), (word, col)
 
 
+def test_zero_row_is_the_difference_of_its_two_side_streams():
+    # nu_2 = theta(M.K) - theta(L.K), the two streams built here from K
+    words = [n.word for nodes in generate_tree(10).values() for n in nodes]
+    for n in range(1, 6):
+        for letters in itertools.product("LMR", repeat=n):
+            block = "".join(letters)
+            words += [SymbolWord(pre + block, TAIL_PERIODIC, len(pre))
+                      for pre in ("", "L", "M", "R")]
+    for word in words:
+        K = kneading._kneading_sequence(word)
+        start = K.start + 1 if K.tail == TAIL_PERIODIC else 0
+        (plus, q), (minus, q_minus) = (
+            kneading.invariant_coordinate(SymbolWord(x + K.head, K.tail, start))
+            for x in "ML")
+        assert q == q_minus
+        nu, q_nu = kneading_increment(word)
+        assert q_nu == q, word
+        assert [a.to_list() for a in nu] == \
+            [(a - b).to_list() for a, b in zip(plus, minus)], word
+
+
 def test_column_b_cofactors_have_their_closed_forms():
     # the cofactors of the zero row with B struck out, by column A B L M R,
     # once their shared (1 - t)(1 - t^2) is cancelled: the weights w of the

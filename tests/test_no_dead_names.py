@@ -5,7 +5,9 @@ A name counts as used when code in ``src/`` or ``perfbench/`` refers to it
 outside its own definition, as a bare name, as an attribute, or through an
 ``import ... as`` alias.  Re-exports in ``__init__.py`` and calls from
 tests do not count, so an API kept alive only by its own tests shows up
-here.  A constant (an upper-case name assigned at module level) counts as
+here.  A name is matched bare, so one defined in two places would count
+the callers of both; every such name is listed in ``SHARED_NAMES``.  A
+constant (an upper-case name assigned at module level) counts as
 read only from ``src/``: the benchmark keeps its own constants, and one of
 the same name there would hide the package's.  A field of a record (see
 ``_fields`` for what counts as one) counts as read when code in ``src/``
@@ -121,6 +123,26 @@ def _test_only_names() -> set[str]:
 def test_every_name_in_the_package_is_used():
     dead = _test_only_names()
     assert not dead, "defined but never used outside tests: " + ", ".join(sorted(dead))
+
+
+# names defined in more than one place in the package, with where: the
+# check above matches a name bare, so a use of one counts for every other,
+# and each place must be known to have a caller of its own (both newtons
+# are called by reduction.conjugacy_check)
+SHARED_NAMES = {
+    "newton": {"reduction.BringJerrardQuintic.newton",
+               "reduction.ReducedQuintic.newton"},
+}
+
+
+def test_every_name_defined_twice_is_listed():
+    where: dict[str, set[str]] = {}
+    for path, tree in _parsed(PACKAGE):
+        for qualname, _ in _definitions(tree):
+            where.setdefault(qualname.rsplit(".", 1)[-1], set()).add(
+                f"{path.stem}.{qualname}")
+    shared = {name: places for name, places in where.items() if len(places) > 1}
+    assert shared == SHARED_NAMES
 
 
 def test_every_constant_in_the_package_is_read():

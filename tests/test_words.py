@@ -11,6 +11,7 @@ from quintic_newton.kneading import (
     kneading_numerator,
 )
 from quintic_newton.words import (
+    ORDER_HORIZON,
     SYMBOLS,
     SymbolWord,
     TAIL_A_INF,
@@ -62,18 +63,11 @@ def test_replace_runs_the_word_checks():
     assert type(w._replace(head="RC")) is SymbolWord
 
 
-def test_shift_rotates_the_periodic_block():
-    w = SymbolWord("RLRC", TAIL_PERIODIC, 0)
-    assert str(w.shift(1)) == "(LRCR)^"
-    assert w.shift(4) == w
-    assert w.period == 4
-    y = SymbolWord("CRLR", TAIL_PERIODIC, 0).shift(1)
-    assert str(y) == "(RLRC)^"
-
-
 def test_prefix_walks_head_then_tail():
     w = SymbolWord("MRRC", TAIL_PERIODIC, 1)   # M then (RRC)^inf
     assert w.prefix(7) == "MRRCRRC"
+    rlrc = SymbolWord("RLRC", TAIL_PERIODIC, 0)
+    assert rlrc.period == 4 and rlrc.prefix(9) == "RLRCRLRCR"
     assert SymbolWord("RRA", TAIL_A_INF).prefix(5) == "RRAAA"
     # an unresolved head ends where the produced symbols end
     assert SymbolWord("RLM").prefix(5) == "RLM"
@@ -167,7 +161,9 @@ def test_admissibility_fixtures():
 
 def _admissible_by_shifts(w) -> bool:
     """The reference rule: shift dominance read by comparing each shifted
-    word with the whole word under order_compare."""
+    word with the whole word under order_compare.  A shifted sequence is
+    read as an unresolved head of ORDER_HORIZON symbols, as far as the
+    order ever compares."""
     w = as_word(w)
     head = w.head
     if w.tail == TAIL_A_INF or w.is_cycle():
@@ -181,7 +177,8 @@ def _admissible_by_shifts(w) -> bool:
     around = head[0] if w.tail == TAIL_PERIODIC else ""
     if not all(map(transition_allowed, head, head[1:] + around)):
         return False
-    return all(order_compare(w.shift(i + 1), w) >= 0
+    seq = w.prefix(ORDER_HORIZON + len(head))
+    return all(order_compare(SymbolWord(seq[i + 1:i + 1 + ORDER_HORIZON]), w) >= 0
                for i, s in enumerate(head) if s in "LM")
 
 
