@@ -138,30 +138,24 @@ def cmd_find_window(args: argparse.Namespace) -> int:
 
 
 def cmd_tree(args: argparse.Namespace) -> int:
-    levels = build_polynomial_tree(args.max_level)
     if args.format == "json":
         import json
+        # the tree lives while its nodes are read, not while they are encoded
         payload = {
             "max_level": args.max_level,
             "levels": {
                 str(level): [
-                    {
-                        "word": n.word,
-                        "kind": n.kind,
-                        "parent": n.parent,
-                        "edge": n.edge,
-                        "poly": n.poly.to_list(),
-                        "reduced": n.reduced.to_list() if n.reduced else None,
-                    }
+                    {**vars(n), "poly": n.poly.to_list(),
+                     "reduced": n.reduced.to_list() if n.reduced else None}
                     for n in nodes
                 ]
-                for level, nodes in levels.items()
+                for level, nodes in build_polynomial_tree(args.max_level).items()
             },
         }
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         lines = []
-        for level, nodes in levels.items():
+        for level, nodes in build_polynomial_tree(args.max_level).items():
             lines.append(f"level {level}  ({len(nodes)} words)")
             for n in nodes:
                 parent = n.parent if n.parent else "-"

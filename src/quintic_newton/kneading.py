@@ -36,6 +36,7 @@ tested against.
 from __future__ import annotations
 
 import functools
+import types
 from typing import Sequence
 
 from .polynomials import IntPolynomial
@@ -89,17 +90,18 @@ def invariant_coordinate(w) -> tuple[Sequence[IntPolynomial], int]:
     for s in w.head[start:]:
         sigma *= LAP_SIGN[s]
     q = p if sigma > 0 else 2 * p
-    rows = [[0] * (start + q) for _ in ALPHABET]
+    rows = {s: [0] * (start + q) for s in set(w.head)}
     eps = 1
     for m, s in enumerate(w.head):
-        row = rows[_IDX[s]]
+        row = rows[s]
         row[m] += eps
         if m < start:
             row[m + q] -= eps        # a head term, times (1 - t^q)
         elif sigma < 0:
             row[m + p] -= eps        # a block term, times (1 - t^p)
         eps *= LAP_SIGN[s]
-    return [IntPolynomial._trusted(r) for r in rows], q
+    return [IntPolynomial._trusted(rows[s]) if s in rows else IntPolynomial()
+            for s in ALPHABET], q
 
 
 # The increments at the free root and the two poles, over (1 - t).  Their
@@ -386,25 +388,12 @@ def convergent_polynomial(word, *,
 # the decorated tree
 # ----------------------------------------------------------------------
 
-class PolyTreeNode:
-    """A plain class rather than a NamedTuple, so that a field can be set (the
-    benchmark's self-test sets ``parent``); ``reduced`` is poly / (1 - t)
-    when that is exact."""
+class PolyTreeNode(types.SimpleNamespace):
+    """A namespace rather than a NamedTuple, so that a field can be set (the
+    benchmark's self-test sets ``parent``), built by keyword in ``_fields``
+    order; ``reduced`` is poly / (1 - t) when that is exact."""
 
     _fields = ("word", "kind", "parent", "edge", "poly", "reduced")
-
-    def __init__(self, word: str, kind: str, parent: str | None, edge: str,
-                 poly: IntPolynomial, reduced: IntPolynomial | None):
-        self.word, self.kind, self.parent = word, kind, parent
-        self.edge, self.poly, self.reduced = edge, poly, reduced
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
-        return f"PolyTreeNode({fields})"
-
-    def __eq__(self, other):
-        return type(other) is PolyTreeNode and all(
-            getattr(self, n) == getattr(other, n) for n in self._fields)
 
 
 def build_polynomial_tree(max_level: int) -> dict[int, list[PolyTreeNode]]:
@@ -433,8 +422,7 @@ def build_polynomial_tree(max_level: int) -> dict[int, list[PolyTreeNode]]:
                 raise RuntimeError(
                     f"recursion and determinant disagree on {node.word}: "
                     f"{poly} vs {check}")
-            bucket.append(PolyTreeNode(
-                node.word, node.kind, node.parent, node.edge,
-                poly, poly.try_div_exact(one_minus_t)))
+            bucket.append(PolyTreeNode(**node._asdict(), poly=poly,
+                                       reduced=poly.try_div_exact(one_minus_t)))
         out[level] = bucket
     return out

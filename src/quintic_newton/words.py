@@ -313,10 +313,10 @@ def generate_tree(max_level: int) -> dict[int, list[TreeNode]]:
     """Admissible words by level with their tree structure.
 
     Level k holds every admissible cycle word and convergent word of
-    length k, each level sorted by order_compare.  Cycle nodes point to
-    their structural parent (chaining through non-admissible intermediates
-    when necessary); convergent nodes hang off the cycle word with the
-    same interior.
+    length k, each level sorted by order_compare.  One walk finds each
+    node's nearest admissible ancestor, from a cycle's structural parent
+    or along an A edge from a convergent's cycle word with the same
+    interior, chaining through non-admissible intermediates if need be.
     """
     if max_level < 2:
         raise ValueError("max_level must be at least 2")
@@ -329,33 +329,25 @@ def generate_tree(max_level: int) -> dict[int, list[TreeNode]]:
         cycles_so_far.update(w for w in words if w.endswith("C"))
         bucket: list[TreeNode] = []
         for w in words:
-            kind = "cycle" if w.endswith("C") else "convergent"
-            if kind == "cycle":
-                parent, edge = _nearest_admissible_ancestor(w, cycles_so_far)
+            if w.endswith("C"):
+                kind, up = "cycle", parse_parent(w) or (None, "")
             else:
-                cycle = w[:-1] + "C"
-                if cycle in cycles_so_far:
-                    parent, edge = cycle, "A"
-                else:
-                    parent, edge = _nearest_admissible_ancestor(cycle, cycles_so_far)
-                    edge = edge + "A"
-            bucket.append(TreeNode(w, kind, parent, edge))
+                kind, up = "convergent", (w[:-1] + "C", "A")
+            bucket.append(TreeNode(w, kind, *_nearest_admissible(*up, cycles_so_far)))
         levels[k] = bucket
     return levels
 
 
-def _nearest_admissible_ancestor(word: str, admissible: set[str]) -> tuple[str | None, str]:
-    """Walk parse_parent upward until a word in ``admissible`` is reached.
+def _nearest_admissible(word: str | None, edge: str,
+                        admissible: set[str]) -> tuple[str | None, str]:
+    """Walk parse_parent up from ``word``, itself included, to the first
+    word in ``admissible``; None, the root's parent, stops the walk too.
 
-    Returns (None, "") for the root.  The edge string is read top-down,
-    one label per parsing step, so a chain through a non-admissible
-    intermediate shows up as a multi-letter edge.
+    Returns that word and the edge string from it, read top-down, one
+    label per parsing step and ending in ``edge``, so a chain through a
+    non-admissible intermediate shows up as a multi-letter edge.
     """
-    up = parse_parent(word)
-    if up is None:
-        return None, ""
-    parent, edge = up
-    while parent not in admissible:
-        parent, label = parse_parent(parent)
+    while word is not None and word not in admissible:
+        word, label = parse_parent(word)
         edge = label + edge
-    return parent, edge
+    return word, edge

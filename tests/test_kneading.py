@@ -7,6 +7,7 @@ from quintic_newton import kneading
 from frozen import CIRCLES, SQUARES, LEVELS, PERIODIC_NUMERATORS
 from rational import same_rational
 from quintic_newton.kneading import (
+    PolyTreeNode,
     StructureError,
     build_polynomial_tree,
     convergent_polynomial,
@@ -264,6 +265,31 @@ def test_polynomial_tree_takes_one_step_per_word(monkeypatch):
             alone = (cycle_polynomial(n.word) if n.kind == "cycle"
                      else convergent_polynomial(n.word))
             assert n.poly == alone, n.word
+
+
+# how far each edge letter moves the word length: R and M add one letter,
+# L two (...LRC drops both) and A none (it replaces the closing C)
+_EDGE_GROWTH = {"R": 1, "M": 1, "L": 2, "A": 0}
+
+
+def test_each_edge_string_is_the_recursion_path_from_the_parent():
+    # to level 12, above the tree digest's level 10
+    tree = build_polynomial_tree(12)
+    polys = {n.word: n.poly for nodes in tree.values() for n in nodes}
+    chains = 0
+    for nodes in tree.values():
+        for n in nodes:
+            # the tree JSON reads vars(node), so the fields are all there, in order
+            assert list(vars(n)) == list(PolyTreeNode._fields), n.word
+            if n.parent is None:
+                assert (n.word, n.edge) == ("RC", ""), n.word
+                continue
+            P, k = polys[n.parent], len(n.parent)
+            for edge in n.edge:
+                P, k = tree_polynomial_step(P, k, edge), k + _EDGE_GROWTH[edge]
+            assert (P, k) == (n.poly, len(n.word)), n.word
+            chains += len(n.edge) > 1
+    assert chains > 0
 
 
 def test_a_tail_words_share_the_convergent_polynomial():

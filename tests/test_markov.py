@@ -210,6 +210,10 @@ def test_a_nilpotent_matrix_has_no_band_root_and_zero_entropy():
     assert p.to_list() == [1]
     res = entropy_from_charpoly(p)
     assert (res.t_star, res.h) == (1.0, 0.0)
+    # the lap route runs out of paths and agrees, the empty matrix too
+    for m in (((0, 1), (0, 0)), ()):
+        lap = lap_growth_estimate(m)
+        assert (lap.t_star, lap.h, lap.method) == (1.0, 0.0, "lap-growth")
 
 
 def test_lap_growth_matches_dense_path_totals():

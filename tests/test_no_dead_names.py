@@ -55,9 +55,11 @@ def _fields(tree: ast.Module):
 
     A record's fields are the annotated names in the body of a dataclass
     or NamedTuple; a subclass of a record defined in the same module (a
-    NamedTuple with a validating ``__new__``) has its base's fields; and
-    a class with an ``__init__``, an exception class included, has the
-    ``self`` attributes that ``__init__`` assigns."""
+    NamedTuple with a validating ``__new__``) has its base's fields; a
+    class that assigns ``_fields`` a tuple of string literals in its body
+    (a namespace built by keyword) has those names; and a class with an
+    ``__init__``, an exception class included, has the ``self``
+    attributes that ``__init__`` assigns."""
     records: dict[str, list[str]] = {}
     for node in tree.body:
         if not isinstance(node, ast.ClassDef):
@@ -70,6 +72,12 @@ def _fields(tree: ast.Module):
             fields += [item.target.id for item in node.body
                        if isinstance(item, ast.AnnAssign)
                        and isinstance(item.target, ast.Name)]
+        fields += [elt.value for item in node.body
+                   if isinstance(item, ast.Assign) and isinstance(item.value, ast.Tuple)
+                   and any(isinstance(t, ast.Name) and t.id == "_fields"
+                           for t in item.targets)
+                   for elt in item.value.elts
+                   if isinstance(elt, ast.Constant) and isinstance(elt.value, str)]
         inits = [item for item in node.body
                  if isinstance(item, ast.FunctionDef) and item.name == "__init__"]
         if inits:
@@ -78,7 +86,7 @@ def _fields(tree: ast.Module):
                        and isinstance(t.value, ast.Name) and t.value.id == "self"]
         if fields:
             records[node.name] = fields
-            for name in fields:
+            for name in dict.fromkeys(fields):
                 yield f"{node.name}.{name}", name
 
 

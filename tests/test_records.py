@@ -1,8 +1,9 @@
 """The records that were dataclasses still work with the ``dataclasses``
 functions, and a tree node's fields can still be set.
 
-They are NamedTuples or small plain classes now, so that importing the
-package does not import ``dataclasses``; callers that copy a record with
+They are NamedTuples, small plain classes or, for ``PolyTreeNode``, a
+``types.SimpleNamespace`` subclass now, so that importing the package does
+not import ``dataclasses``; callers that copy a record with
 ``dataclasses.replace`` or set ``PolyTreeNode.parent`` (the benchmark's
 self-test corrupts outputs both ways) must keep working.
 """
