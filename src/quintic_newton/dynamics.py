@@ -6,7 +6,7 @@ points of the polynomial) and one free critical point at zero.  This module
 provides the Newton step for any x^5 + a*x + b, the critical frame that cuts
 the line into the coding pieces, the orbit layer every other module codes
 orbits with (one walker, the generator ``orbit_symbols``, which steps only
-when asked and checks c once per walk and each point before its step; one
+when asked and checks c once per walk, the step core each point; one
 periodic-tail rule, which finds where the symbols repeat before it compares
 points; one reader, ``OrbitCode.word``; one pole-nudge schedule), and the
 locator for parameters whose critical orbit closes up on a cycle word
@@ -65,21 +65,28 @@ def newton_step(a: float, b: float, x: float) -> float:
     x*(4 - b*x^-5)/(5 + a*x^-4), so huge arguments never overflow the
     intermediate powers.
     """
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(x)):
+    if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"non-finite input a={a!r}, b={b!r}, x={x!r}")
     return _unchecked_step(a, b, x)
 
 
 def _unchecked_step(a: float, b: float, x: float) -> float:
-    """``newton_step`` unchecked; the walkers check a once, x at every step."""
+    """``newton_step`` with a and b unchecked (the walkers check them once).
+    A non-finite x, which always takes the |x| > 1 branch, raises its
+    ValueError; a denominator within POLE_TOL of zero relative to its two
+    terms raises PoleError."""
     if abs(x) <= 1.0:
-        den = 5.0 * x ** 4 + a
-        if abs(den) <= POLE_TOL:
+        x4 = 5.0 * x ** 4
+        den = x4 + a
+        if abs(den) <= POLE_TOL * (x4 + abs(a)):
             raise PoleError(x)
         return (4.0 * x ** 5 - b) / den
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite input a={a!r}, b={b!r}, x={x!r}")
     inv = 1.0 / x
-    den = 5.0 + a * inv ** 4
-    if abs(den) <= POLE_TOL:
+    ax4 = a * inv ** 4
+    den = 5.0 + ax4
+    if abs(den) <= POLE_TOL * (5.0 + abs(ax4)):
         raise PoleError(x)
     return x * (4.0 - b * inv ** 5) / den
 
@@ -113,17 +120,10 @@ class CriticalFrame:
     @functools.cached_property
     def d0(self) -> float:
         c, a = self.c, -self.c
-        # f > 0 at d1 (local max), and f(-R) <= R(c + 1 - R^4) < 0 for
-        # R = 2(c + 1)^(1/4) > |d1|: halve to adjacent floats, f >= 0 at hi
-        lo, hi = -2.0 * (c + 1.0) ** 0.25, self.d1
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if quintic_value(a, 1.0, mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
+        # f > 0 at d1 (local max), and f(-R) <= R(c + 1 - R^4) < 0 for R =
+        # 2(c + 1)^(1/4) > |d1|: halve f's sign, never 0, to adjacent floats
+        lo, hi = bisect_sign(lambda x: -1 if quintic_value(a, 1.0, x) < 0.0 else 1,
+                             -2.0 * (c + 1.0) ** 0.25, self.d1, -1, 0.0)
         d0 = 0.5 * (lo + hi)
         # a couple of Newton polish steps squeeze out the last bits; a step
         # where f overflows (c above about 7e244) is skipped
@@ -157,7 +157,7 @@ STOP_HORIZON = "horizon"     # coded the requested number of points
 TAIL_TOL = 1e-9
 TAIL_MAX_PERIOD = 256
 
-# a Newton step whose denominator is this close to zero meets a pole
+# a Newton step meets a pole where |den| is this small relative to its terms
 POLE_TOL = 1e-10
 
 
@@ -210,8 +210,6 @@ def orbit_symbols(c: float, x0: float, n: int,
     x = x0
     for i in range(n):
         if i:
-            if not -math.inf < x < math.inf:
-                newton_step(a, 1.0, x)  # raises its ValueError
             x = _unchecked_step(a, 1.0, x)
         if abs(x - d1) <= tol or abs(x - d3) <= tol:
             yield x, None
@@ -248,10 +246,7 @@ def orbit_points(c: float, x0: float, n: int) -> list[float]:
     step = _unchecked_step if -math.inf < a < math.inf else newton_step
     xs = [x0]
     for _ in range(n - 1):
-        x = xs[-1]
-        if not -math.inf < x < math.inf:
-            newton_step(a, 1.0, x)  # raises its ValueError
-        xs.append(step(a, 1.0, x))
+        xs.append(step(a, 1.0, xs[-1]))
     return xs
 
 

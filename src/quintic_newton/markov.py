@@ -277,23 +277,17 @@ def _entropy_at(c: float, H: int) -> CurvePoint:
             raise code.pole_error()
         word = as_word(syms[: k + 1]) if k >= 0 else code.word()
         if word.tail != TAIL_UNRESOLVED:
-            root = _band_root(kneading_numerator(word))
-            return _curve_point(c, root, "kneading", word.period or 0)
+            return CurvePoint(c, *entropy_from_kneading(word), word.period or 0)
         root = _series_root(syms)
         t_hat = root if root is not None else 1.0 - 1e-9
         tail = 2.0 * t_hat ** (len(syms) + 1) / max(1e-9, 1.0 - t_hat)
         if tail < 1e-12 or H >= MAX_HORIZON or code.stop == STOP_POLE:
-            return _curve_point(c, root, "kneading-series", 0)
+            return CurvePoint(c, *_result_from_root(root, "kneading-series"), 0)
         H = min(MAX_HORIZON, 2 * H)
         # walk on from the last point, which the new walk codes again first
         more = walk_orbit(c, code.points[-1], H - len(syms) + 1)
         code = OrbitCode(syms + more.symbols[1:], code.points + more.points[1:],
                          more.stop)
-
-
-def _curve_point(c: float, root: float | None, method: str, period: int) -> CurvePoint:
-    res = _result_from_root(root, method)
-    return CurvePoint(c, res.t_star, res.h, method, period)
 
 
 def entropy_curve(c_lo: float, c_hi: float, n: int,

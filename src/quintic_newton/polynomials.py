@@ -17,8 +17,8 @@ at the bottom, and every float decision there is certified: rounding
 bounds exclude cells and prove a single zero, exact integer signs confirm
 the bisected value, and what floats cannot decide is decided exactly with
 a gcd over Z and Sturm counts.  ``bisect_sign`` halves a sign change to a
-tolerance here and in both of the locator's halvings, of the kneading order
-and of the k-th return.
+tolerance here, in both of the locator's halvings (the kneading order and
+the k-th return) and for the free root d0: the package's only halving.
 """
 from __future__ import annotations
 
@@ -315,7 +315,7 @@ def bisect_sign(f, a, b, fa, tol):
     ends the halving on the bracket it halved, whose midpoint it is; floats
     also stop at adjacent ends, where the midpoint rounds onto one of them.
     """
-    while b - a > max(tol, 1e-16 * b):
+    while b - a > tol and b - a > 1e-16 * b:
         m = (a + b) / 2
         if m == a or m == b:
             break

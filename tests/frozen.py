@@ -177,6 +177,9 @@ FREE_ROOT_HEX = {
     1e6: "-0x1.f9f6e4dc2b00ep+4",
     1e30: "-0x1.e286789a07f2fp+24",
     1e60: "-0x1.c6bf526340000p+49",
+    # f is exactly 0 at a midpoint of the halving: halving f itself instead
+    # of its sign would stop there and give ...517p+9
+    648136854325.0697: "-0x1.c0a0d976f9518p+9",
 }
 
 # sha256 over one line per polynomial of test_polynomials.planted_root_polys

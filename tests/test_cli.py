@@ -291,6 +291,15 @@ def test_entropy_curve_nudges_off_the_pole_at_the_fifth_root_of_five(capsys):
     assert (method, period) == ("kneading-series", "0")
 
 
+def test_entropy_curve_runs_down_to_small_c(capsys):
+    assert main(["entropy-curve", "--lo", "1e-12", "--hi", "0.01", "--n", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+    assert [float(row[0]) for row in rows] == [1e-12, 0.0050000000005, 0.01]
+    assert all(row[2] == "kneading" for row in rows)
+
+
 def test_entropy_curve_rejects_parameters_from_c0_on(capsys):
     # above C0 the orbit falls into the attracting root in M, which would
     # read as the word (M)^ with entropy log(1 + sqrt(2))

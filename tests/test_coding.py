@@ -56,6 +56,11 @@ def test_itinerary_raises_on_pole_start():
         itinerary(1.0, pole, 10)
 
 
+def test_itinerary_needs_at_least_one_point():
+    with pytest.raises(ValueError, match="^length must be positive$"):
+        itinerary(1.0, 0.0, 0)
+
+
 def test_itinerary_of_a_non_finite_start():
     # nan and +inf are refused at the start, as a step from them would be,
     # even when no step follows; -inf is absorbed

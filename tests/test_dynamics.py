@@ -118,6 +118,22 @@ def test_newton_eval_raises_on_pole():
         newton_eval(c, pole)
 
 
+def test_the_pole_test_is_relative_to_the_terms():
+    # at c = 1e-11 the denominator 5x^4 - c is below 1e-10 for every |x|
+    # below 2e-3, yet only points near the poles +-1.19e-3 meet them
+    c = 1e-11
+    d3 = critical_frame(c).d3
+    assert newton_eval(c, 0.0) == 1e11
+    assert newton_eval(c, d3 * (1 + 1e-9)) < -1e19
+    with pytest.raises(PoleError):
+        newton_eval(c, d3 * (1 + 4e-11))
+    # past |x| = 1 the test reads the terms 5 and a*x^-4
+    d3 = critical_frame(100.0).d3
+    assert d3 > 1.0 and newton_eval(100.0, d3 * (1 + 1e-9)) > 1e8
+    with pytest.raises(PoleError):
+        newton_eval(100.0, d3)
+
+
 def letter(c, x):
     """The letter the walker reads at x with no tolerance, None at a pole."""
     [(_, s)] = orbit_symbols(c, x, 1, tol=0.0)
@@ -314,6 +330,11 @@ def test_superstable_rejects_inadmissible_and_empty_brackets():
         find_superstable_parameter("RMRC")
     with pytest.raises(ValueError):
         find_superstable_parameter("RC", bracket=(0.5, 0.6))
+    # the locator's last check: the order halving closes on a parameter
+    # whose orbit leaves the word after its sixth symbol
+    with pytest.raises(ValueError) as info:
+        find_superstable_parameter("MMMMRLRRLMRC")
+    assert str(info.value) == "bracket closed on 'MMMMRLMMMMR', not 'MMMMRLRRLMR'"
 
 
 def test_superstable_with_explicit_bracket():

@@ -288,6 +288,14 @@ def test_entropy_point_nudges_off_the_pole_at_the_fifth_root_of_five():
     assert abs(pt.entropy - math.log(2.0)) < 1e-12
 
 
+def test_entropy_point_keeps_a_small_c():
+    # the first step from 0 has denominator -c, far from both poles; an
+    # absolute pole test would read it as a pole and nudge c
+    pt = entropy_point(1e-10)
+    assert pt.c == 1e-10
+    assert pt.method == "kneading"
+
+
 def test_entropy_curve_grid_and_monotonicity():
     pts = entropy_curve(0.3, 1.6, 40)
     assert len(pts) == 40
