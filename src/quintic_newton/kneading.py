@@ -8,13 +8,13 @@ zero's two futures are M.K and L.K for the kneading sequence K, so its row
 is read off the one coordinate of K.  Deleting one column of the
 resulting 4 x 5 matrix, taking the determinant of the numerators and
 dividing by the row factors and by (1 - eps*t) gives a determinant D(t)
-that does not depend on the deleted column.  Only the zero's row depends
-on the word, so D is taken as the expansion along that row: the other
-three rows give a struck column's cofactors on first use, once per
-column, with the (1 - t^m) factors they share cancelled against the
-denominator in advance.  ``kneading_determinant`` hands D out as a plain
-pair: its integer numerator and the sorted exponents m of its (1 - t^m)
-factors.  For a critical cycle of length k the combination
+that does not depend on the deleted column, so column A is the one struck.
+Only the zero's row depends on the word, so D is taken as the expansion
+along that row: the other three rows give the cofactors on first use,
+with the (1 - t) factors they share cancelled against the denominator in
+advance.  ``kneading_determinant`` hands D out as a plain pair: its
+integer numerator and the sorted exponents m of its (1 - t^m) factors.
+For a critical cycle of length k the combination
 
     P(t) = D(t) * (1 - t)^2 * (1 - t^k)
 
@@ -172,56 +172,44 @@ def _det(rows: list[Sequence[IntPolynomial]]) -> IntPolynomial:
 
 
 @functools.cache
-def _column_oracle(column: str) -> tuple[tuple[IntPolynomial, ...], tuple[int, ...]]:
-    """D's cofactors for the struck column and the denominator exponents
-    that stay once the (1 - t^m) factors all the cofactors share are
-    cancelled.  Built on first use, once per column.
+def _column_oracle() -> tuple[tuple[IntPolynomial, ...], tuple[int, ...]]:
+    """D's cofactors with column A struck, and the denominator exponents
+    left once the (1 - t) factors all of them share are cancelled.
 
     The cofactors of the zero row nu_2, one per column of ALPHABET (zero at
-    the struck one), are signed 3 x 3 minors of the three universal rows,
-    so they do not depend on the word.  The struck column j contributes
-    its sign (-1)^j and the division by (1 - eps*t), eps its slope sign,
-    written as (1 - t) or, for eps = -1, as (1 - t) / (1 - t^2); the
-    universal rows contribute (1 - t)^3.  nu_2's own row factor (1 - t^q)
-    belongs to the word and is added per call."""
-    j = _IDX[column]
+    A), are signed 3 x 3 minors of the three universal rows, so they do not
+    depend on the word and are built on first use.  The universal rows
+    contribute (1 - t)^3 and the division by (1 - eps*t), with A's slope
+    sign eps = +1, one more; nu_2's own (1 - t^q) is added per call."""
     rows = [_UNIVERSAL_ROWS[i] for i in (0, 1, 3)]
-    kept = [c for c in range(len(ALPHABET)) if c != j]
-    cofactors = [IntPolynomial()] * len(ALPHABET)
-    for p, c in enumerate(kept):
+    kept = range(1, len(ALPHABET))
+    cofactors = [IntPolynomial()]
+    for c in kept:
         minor = _det([[r[d] for d in kept if d != c] for r in rows])
-        cofactors[c] = minor if (p + j) % 2 == 0 else -minor
-    factors = [1, 1, 1]
-    if LAP_SIGN[column] > 0:
-        factors.append(1)
-    else:
-        cofactors = [k - k.shift(1) for k in cofactors]    # * (1 - t)
-        factors.append(2)
-    for m in sorted(set(factors), reverse=True):
-        cut = IntPolynomial.one_minus_t_power(m)
-        while m in factors:
-            quotients = [k.try_div_exact(cut) for k in cofactors]
-            if None in quotients:
-                break
-            cofactors = quotients
-            factors.remove(m)
-    return tuple(cofactors), tuple(factors)
+        cofactors.append(minor if c % 2 else -minor)
+    cut = IntPolynomial.one_minus_t_power(1)
+    factors = (1, 1, 1, 1)
+    while factors:
+        quotients = [k.try_div_exact(cut) for k in cofactors]
+        if None in quotients:
+            break
+        cofactors, factors = quotients, factors[1:]
+    return tuple(cofactors), factors
 
 
-def kneading_determinant(word, column: str = "B"
-                         ) -> tuple[IntPolynomial, tuple[int, ...]]:
-    """D(t) from the increment matrix with one column struck out, as
+def kneading_determinant(word) -> tuple[IntPolynomial, tuple[int, ...]]:
+    """D(t) from the increment matrix with column A struck out, as
     ``(num, den_factors)``: D = num / prod (1 - t^m) over the sorted
     exponents m in ``den_factors``.
 
     The value is independent of the choice of column; its representation
     is not.  Only the zero row nu_2 depends on the word, so the determinant
-    is the expansion along it: nu_2's numerators times the struck column's
-    cofactors, which are computed on first use, once per column, with their
-    shared (1 - t^m) factors already cancelled against the denominator,
-    over what is left of it and nu_2's own (1 - t^q).
+    is the expansion along it: nu_2's numerators times the cofactors,
+    which are computed on first use with their shared (1 - t) factors
+    already cancelled against the denominator, over what is left of it and
+    nu_2's own (1 - t^q).
     """
-    cofactors, factors = _column_oracle(column)
+    cofactors, factors = _column_oracle()
     nu, q = kneading_increment(word)
     num = IntPolynomial()
     for a, k in zip(nu, cofactors):

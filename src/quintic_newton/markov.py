@@ -247,11 +247,11 @@ def entropy_point(c: float, horizon: int = 64) -> CurvePoint:
     periodic tail within the horizon get the exact polynomial treatment;
     anything else gets the truncated series, with the horizon grown, up to
     MAX_HORIZON, until the series tail is negligible at the root found.  A
-    pole within the first 24 points moves c by the shared nudge schedule
-    (PoleError when all four tries fail; the last clears c = 5^(1/5), where
-    1/c is the pole d3); a later one truncates the series there.  A horizon
-    below 1 raises ValueError, since doubling it would never reach
-    MAX_HORIZON, and so does c >= C0 (see ``_check_below_c0``).
+    pole before a C, wherever in the walk it comes, moves c by the shared
+    nudge schedule (PoleError when all four tries fail; the last clears
+    c = 5^(1/5), where 1/c is the pole d3).  A horizon below 1 raises
+    ValueError, since doubling it would never reach MAX_HORIZON, and so
+    does c >= C0 (see ``_check_below_c0``).
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon!r}")
@@ -273,7 +273,7 @@ def _entropy_at(c: float, H: int) -> CurvePoint:
     while True:
         syms = code.symbols
         k = syms.find("C")
-        if k < 0 and code.stop == STOP_POLE and len(syms) < 24:
+        if k < 0 and code.stop == STOP_POLE:
             raise code.pole_error()
         word = as_word(syms[: k + 1]) if k >= 0 else code.word()
         if word.tail != TAIL_UNRESOLVED:
@@ -281,7 +281,7 @@ def _entropy_at(c: float, H: int) -> CurvePoint:
         root = _series_root(syms)
         t_hat = root if root is not None else 1.0 - 1e-9
         tail = 2.0 * t_hat ** (len(syms) + 1) / max(1e-9, 1.0 - t_hat)
-        if tail < 1e-12 or H >= MAX_HORIZON or code.stop == STOP_POLE:
+        if tail < 1e-12 or H >= MAX_HORIZON:
             return CurvePoint(c, *_result_from_root(root, "kneading-series"), 0)
         H = min(MAX_HORIZON, 2 * H)
         # walk on from the last point, which the new walk codes again first

@@ -137,6 +137,9 @@ def test_config_values_go_through_the_option_type(tmp_path, capsys):
         argv = ["--config", str(cfg), command] + (["1", "1"] if command == "reduce" else [])
         assert main(argv) == 2, bad
         assert capsys.readouterr().err.startswith("error: config "), bad
+    cfg.write_text(json.dumps([{"n": 3}]))
+    assert main(["--config", str(cfg), "entropy-curve"]) == 2
+    assert capsys.readouterr().err == "error: config must be a JSON object\n"
 
 
 def test_config_skips_keys_that_are_not_options(tmp_path, capsys):

@@ -330,6 +330,8 @@ def test_superstable_rejects_inadmissible_and_empty_brackets():
         find_superstable_parameter("RMRC")
     with pytest.raises(ValueError):
         find_superstable_parameter("RC", bracket=(0.5, 0.6))
+    with pytest.raises(ValueError, match=r"^bad bracket \(0\.6, 0\.5\)$"):
+        find_superstable_parameter("RC", bracket=(0.6, 0.5))
     # the locator's last check: the order halving closes on a parameter
     # whose orbit leaves the word after its sixth symbol
     with pytest.raises(ValueError) as info:

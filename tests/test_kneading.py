@@ -26,6 +26,7 @@ from quintic_newton.words import (
     SymbolWord,
     TAIL_A_INF,
     TAIL_PERIODIC,
+    WordError,
     admissible_cycles,
     generate_tree,
     parse_parent,
@@ -58,9 +59,8 @@ COLUMN_WORDS = ["RC", "MRC", "RLRC", "MMRRC",
 
 def test_determinant_is_column_independent():
     for word in COLUMN_WORDS:
-        values = [kneading_determinant(word, column=col)
-                  for col in "ABLMR"]
-        assert all(same_rational(v, values[0]) for v in values[1:])
+        values = [laplace_determinant(word, col) for col in "ABLMR"]
+        assert all(same_rational(v, values[0]) for v in values[1:]), word
 
 
 def test_cycle_polynomials_match_frozen_table():
@@ -120,9 +120,9 @@ def test_expansion_along_the_zero_row_matches_the_laplace_reference():
     assert len(words) == 259
     words += COLUMN_WORDS
     for word in words:
+        D = kneading_determinant(word)
         for col in "ABLMR":
-            assert same_rational(kneading_determinant(word, column=col),
-                                 laplace_determinant(word, col)), (word, col)
+            assert same_rational(D, laplace_determinant(word, col)), (word, col)
 
 
 def test_zero_row_is_the_difference_of_its_two_side_streams():
@@ -144,13 +144,21 @@ def test_zero_row_is_the_difference_of_its_two_side_streams():
         assert q_nu == q, word
         assert [a.to_list() for a in nu] == \
             [(a - b).to_list() for a, b in zip(plus, minus)], word
+    # a C has no coordinate, and an unresolved word neither a coordinate
+    # nor a kneading sequence
+    with pytest.raises(WordError, match="C has no invariant coordinate"):
+        kneading.invariant_coordinate("RLRC")
+    with pytest.raises(WordError, match="unresolved word RLR$"):
+        kneading.invariant_coordinate("RLR")
+    with pytest.raises(WordError, match="no kneading sequence in RLR$"):
+        kneading_numerator("RLR")
 
 
-def test_column_b_cofactors_have_their_closed_forms():
-    # the cofactors of the zero row with B struck out, by column A B L M R,
-    # once their shared (1 - t)(1 - t^2) is cancelled: the weights w of the
+def test_column_a_cofactors_have_their_closed_forms():
+    # the cofactors of the zero row with A struck out, by column A B L M R,
+    # once their shared (1 - t)^2 is cancelled: the weights w of the
     # numerator kernel, 0, 0, t, 1 - 2t and 1 - t, over (1 - t)^2
-    cofactors, factors = kneading._column_oracle("B")
+    cofactors, factors = kneading._column_oracle()
     assert [k.to_list() for k in cofactors] == [[], [], [0, 1], [1, -2], [1, -1]]
     assert factors == (1, 1)
 
@@ -185,6 +193,8 @@ def test_branch_steps_from_the_root():
     assert tree_polynomial_step(P, 2, "R").to_list() == CIRCLES["RRC"]
     assert tree_polynomial_step(P, 2, "M").to_list() == CIRCLES["MRC"]
     assert tree_polynomial_step(P, 2, "L").to_list() == CIRCLES["RLRC"]
+    with pytest.raises(ValueError, match="unknown edge 'X'"):
+        tree_polynomial_step(cycle_polynomial("RLRC"), 4, "X")
 
 
 # ----------------------------------------------------------------------
@@ -194,11 +204,15 @@ def test_branch_steps_from_the_root():
 def test_recursion_reproduces_all_frozen_cycles():
     for word, coeffs in CIRCLES.items():
         assert cycle_polynomial(word).to_list() == coeffs, word
+    with pytest.raises(WordError, match="not a cycle word: 'RRA'"):
+        cycle_polynomial("RRA")
 
 
 def test_recursion_reproduces_all_frozen_convergents():
     for word, coeffs in SQUARES.items():
         assert convergent_polynomial(word).to_list() == coeffs, word
+    with pytest.raises(WordError, match="not a convergent word: 'RC'"):
+        convergent_polynomial("RC")
 
 
 def test_recursion_passes_through_inadmissible_intermediates():

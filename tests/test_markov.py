@@ -10,6 +10,9 @@ from frozen import RLRC_MATRIX, TRIBONACCI, WINDOW_MATRIX_DIGEST
 from rational import same_rational
 from quintic_newton.dynamics import (
     C0,
+    POLE_NUDGE,
+    STOP_POLE,
+    OrbitCode,
     critical_frame,
     find_superstable_parameter,
     newton_eval,
@@ -286,6 +289,26 @@ def test_entropy_point_nudges_off_the_pole_at_the_fifth_root_of_five():
     assert pt.method == "kneading-series"
     assert abs(pt.t_star - 0.5) < 1e-12
     assert abs(pt.entropy - math.log(2.0)) < 1e-12
+
+
+def test_entropy_point_nudges_off_a_pole_met_late_in_the_walk(monkeypatch):
+    # a pole met after 30 points with no C before them moves c like one met
+    # at the first step: a series cut short at a pole has no tail bound
+    walks = []
+
+    def walk_orbit(c, x0, n):
+        code = real_walk(c, x0, n)
+        walks.append(c)
+        if len(walks) == 1:
+            code = OrbitCode(code.symbols[:30], code.points[:31], STOP_POLE)
+        return code
+
+    real_walk = markov.walk_orbit
+    monkeypatch.setattr(markov, "walk_orbit", walk_orbit)
+    pt = entropy_point(0.7)
+    assert walks[:2] == [0.7, 0.7 * (1 + POLE_NUDGE)]
+    assert pt.c == 0.7 * (1 + POLE_NUDGE)
+    assert pt.method == "kneading" and pt.period == 28
 
 
 def test_entropy_point_keeps_a_small_c():

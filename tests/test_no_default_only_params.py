@@ -17,12 +17,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "quintic_newton"
 CALLER_DIRS = (PACKAGE, ROOT / "perfbench")
 
-# defaulted parameters only tests pass, kept because tests vary them
-TEST_VARIED = {
-    # D(t) does not depend on the struck column; the test strikes each one
-    "kneading.kneading_determinant.column",
-}
-
 
 def _parsed(directory: Path):
     for path in sorted(directory.glob("*.py")):
@@ -107,7 +101,4 @@ def _default_only_params() -> set[str]:
 
 def test_every_defaulted_parameter_is_passed():
     unpassed = _default_only_params()
-    assert not unpassed - TEST_VARIED, \
-        "parameters no caller passes: " + ", ".join(sorted(unpassed - TEST_VARIED))
-    # an allowance that gains a caller in the package comes off the list
-    assert TEST_VARIED <= unpassed, sorted(TEST_VARIED - unpassed)
+    assert not unpassed, "parameters no caller passes: " + ", ".join(sorted(unpassed))

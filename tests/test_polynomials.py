@@ -32,6 +32,8 @@ def test_construction_strips_trailing_zeros():
 def test_rejects_non_integer_coefficients():
     with pytest.raises(TypeError):
         IntPolynomial([1.5])
+    with pytest.raises(TypeError, match="cannot combine IntPolynomial with 1.5"):
+        IntPolynomial([1]) + 1.5
 
 
 def test_basic_arithmetic():
@@ -43,6 +45,8 @@ def test_basic_arithmetic():
     assert (-p).to_list() == [-1, 1]
     assert p.shift(2).to_list() == [0, 0, 1, -1]
     assert IntPolynomial.one_minus_t_power(3).to_list() == [1, 0, 0, -1]
+    with pytest.raises(ValueError, match="factor exponent must be >= 1"):
+        IntPolynomial.one_minus_t_power(0)
 
 
 def test_exact_division():
@@ -54,6 +58,9 @@ def test_exact_division():
     assert p.try_div_exact(q) is None
     with pytest.raises(ArithmeticError):
         p.div_exact(q)
+    for divide in (p.div_exact, p.try_div_exact):
+        with pytest.raises(ZeroDivisionError, match="division by zero"):
+            divide(IntPolynomial())
 
 
 def exact_value(p, x: Fraction) -> Fraction:

@@ -5,9 +5,9 @@ needs.
 fallbacks when they run, ``json`` and ``hashlib`` by ``--out``,
 ``--config``, ``--json`` and ``tree --format json``, and no record is a
 dataclass, so ``dataclasses`` and the ``inspect`` it loads stay out.
-Nor does the import take a determinant: ``kneading`` builds a struck
-column's cofactors on first use.  The import runs in a fresh isolated
-interpreter, and what it adds is measured against the modules that
+Nor does the import take a determinant: ``kneading`` builds the
+cofactors of its struck column on first use.  The import runs in a fresh
+isolated interpreter, and what it adds is measured against the modules that
 interpreter holds before it, which is what a bare ``python -I -c pass``
 holds: ``site`` may already have loaded some.
 """
@@ -49,7 +49,7 @@ def test_import_loads_no_module_only_some_paths_use():
 
 
 def test_import_builds_no_determinant_cofactors():
-    # none cached after the import, one column after one determinant
+    # nothing cached after the import, the cofactors after one determinant
     proc = _fresh_import()
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[2:] == ["0", "1"]

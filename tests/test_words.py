@@ -40,6 +40,10 @@ def test_word_string_forms_round_trip():
         SymbolWord("RLM", TAIL_UNRESOLVED),
     ]:
         assert SymbolWord.parse(str(w)) == w
+    with pytest.raises(WordError, match="empty periodic block"):
+        SymbolWord.parse("R()^")
+    with pytest.raises(WordError, match="malformed word 'R\\(L'"):
+        SymbolWord.parse("R(L")
 
 
 def test_word_validation():
@@ -49,6 +53,8 @@ def test_word_validation():
         SymbolWord("RC", TAIL_PERIODIC, 5)  # start beyond the head
     with pytest.raises(WordError):
         SymbolWord("RXC", TAIL_PERIODIC, 0)
+    with pytest.raises(WordError, match="unknown tail kind 'loop'"):
+        SymbolWord("R", "loop")
 
 
 def test_replace_runs_the_word_checks():
@@ -291,6 +297,8 @@ def test_parse_parent_edges():
 
 
 def test_generate_tree_levels_and_edges():
+    with pytest.raises(ValueError, match="max_level must be at least 2"):
+        generate_tree(1)
     tree = generate_tree(5)
     for level, nodes in tree.items():
         cycles = [n for n in nodes if n.kind == "cycle"]
