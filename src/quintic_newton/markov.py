@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from typing import NamedTuple
 
 from .dynamics import (
@@ -48,6 +49,9 @@ RETURN_TOL = 1e-6
 COLLISION_TOL = 1e-9
 LAP_STEPS = 20          # lap growth: the ratio of path counts through M^20, M^19
 MAX_HORIZON = 4096      # the series horizon doubles up to this
+# the smallest parameter whose critical orbit a float can start: the first
+# Newton step forms 4/c (see ``_check_range``)
+C_FLOOR = 4.0 / sys.float_info.max
 
 
 class EntropyResult(NamedTuple):
@@ -251,20 +255,25 @@ def entropy_point(c: float, horizon: int = 64) -> CurvePoint:
     nudge schedule (PoleError when all four tries fail; the last clears
     c = 5^(1/5), where 1/c is the pole d3).  A horizon below 1 raises
     ValueError, since doubling it would never reach MAX_HORIZON, and so
-    does c >= C0 (see ``_check_below_c0``).
+    do c >= C0 and 0 <= c < C_FLOOR (see ``_check_range``).
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon!r}")
-    _check_below_c0(c)
+    _check_range(c, c)
     return nudge_off_poles(lambda c: _entropy_at(c, horizon), c)[1]
 
 
-def _check_below_c0(c: float) -> None:
+def _check_range(c_lo: float, c_hi: float) -> None:
     """From C0 on the quintic has three real roots, and the critical orbit
     falls into the attracting root in M: the coding reads it as the word
-    (M)^, whose entropy belongs to no parameter of the family."""
-    if not c < C0:
-        raise ValueError(f"c = {c!r} is not below C0 = {C0!r}; from C0 on "
+    (M)^, whose entropy belongs to no parameter of the family.  Below
+    C_FLOOR the orbit cannot start in floating point: the Newton step from
+    the critical value 1/c forms 4/c, which overflows."""
+    if 0.0 <= c_lo < C_FLOOR:
+        raise ValueError(f"c = {c_lo!r} is below C_FLOOR = {C_FLOOR!r}; "
+                         f"below it the critical orbit overflows")
+    if not c_hi < C0:
+        raise ValueError(f"c = {c_hi!r} is not below C0 = {C0!r}; from C0 on "
                          f"the quintic has more than one real root")
 
 
@@ -297,7 +306,7 @@ def entropy_curve(c_lo: float, c_hi: float, n: int,
         raise ValueError("need at least two grid points")
     if not (0.0 < c_lo < c_hi):
         raise ValueError(f"bad parameter range ({c_lo}, {c_hi})")
-    _check_below_c0(c_hi)
+    _check_range(c_lo, c_hi)
     cs = [c_lo + (c_hi - c_lo) * i / (n - 1) for i in range(n)]
     if workers > 1:
         import multiprocessing as mp

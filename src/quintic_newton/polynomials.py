@@ -14,9 +14,10 @@ the degree.
 
 Floating point enters only through ``evaluate`` and the band-root search
 at the bottom, and every float decision there is certified: rounding
-bounds exclude cells and prove a single zero, exact integer signs confirm
-the bisected value, and what floats cannot decide is decided exactly with
-a gcd over Z and Sturm counts.  ``bisect_sign`` halves a sign change to a
+bounds exclude cells and prove a single zero, certified signs at grid
+points close that zero's cell onto one cell of the grid, exact integer
+signs confirm the bisected value, and what floats cannot decide is decided
+exactly with a gcd over Z and Sturm counts.  ``bisect_sign`` halves a sign change to a
 tolerance here, in both of the locator's halvings (the kneading order and
 the k-th return) and for the free root d0: the package's only halving.
 """
@@ -252,10 +253,10 @@ class IntPolynomial:
 # sees the right root.
 _GRID_CELLS = 4096
 # a walk cell narrower than this, or a walk longer than this many
-# evaluations (the one at lo included), means floating point cannot decide
-# the cell.  Near a cluster of k roots at distance e an excluded cell is
-# only about e^k wide, so the walk crawls there; walks that find a simple
-# root or clear the interval take a few dozen evaluations.
+# evaluations (the one at lo and the grid probes included), means floating
+# point cannot decide the cell.  Near a cluster of k roots at distance e an
+# excluded cell is only about e^k wide, so the walk crawls there; walks
+# that find a simple root or clear the interval take about a dozen.
 _MIN_CELL = 1e-12
 _WALK_BUDGET = 256
 # how close a reported zero is to the true one
@@ -274,9 +275,10 @@ def smallest_root_in(poly: IntPolynomial, lo: float, hi: float) -> float | None:
     midpoint t of its last bracket is kept when exact signs at t - ROOT_TOL
     and t + ROOT_TOL bracket the zero; otherwise it halves (a, b) itself
     in Fractions.  Where floating point cannot decide a cell (a double
-    root, two roots closer than the rounding), the rest of [lo, hi] is
-    decided exactly: Sturm counts of the square-free part, halved down to
-    ROOT_TOL.  Bounds exact arithmetic cannot represent raise ValueError;
+    root, two roots closer than the rounding), all of [lo, hi] is decided
+    exactly: Sturm counts of the square-free part, halved down to ROOT_TOL,
+    so that answer depends on poly, lo and hi alone, not on where the walk
+    stopped.  Bounds exact arithmetic cannot represent raise ValueError;
     nothing is guessed.
     """
     if not 0.0 <= lo < hi < math.inf:
@@ -288,7 +290,7 @@ def smallest_root_in(poly: IntPolynomial, lo: float, hi: float) -> float | None:
     if kind == "clear":
         return None
     if kind == "stall":
-        return _smallest_root_exact(poly, a, hi)
+        return _smallest_root_exact(poly, lo, hi)
     f = poly.evaluate
     i = walk.next_index(a)
     if i <= _GRID_CELLS:
@@ -339,6 +341,10 @@ class _ExclusionWalk:
     Stability of Numerical Algorithms, 5.1), with gamma_k for k = 8(n + 1)
     covering the coefficient conversion, the derivative recurrence and the
     rounding of the bounds themselves with room to spare.
+
+    ``run`` steps cells right from lo with these tests, and ``_close``
+    narrows the first cell they prove to hold one zero onto a cell of the
+    grid lo + (hi - lo) * j / 4096 by certified signs at grid points.
     """
 
     def __init__(self, poly: IntPolynomial, lo: float, hi: float):
@@ -359,10 +365,6 @@ class _ExclusionWalk:
         while j <= _GRID_CELLS and self.grid_point(j) <= x:
             j += 1
         return j
-
-    def next_point(self, x: float) -> float:
-        j = self.next_index(x)
-        return self.grid_point(j) if j <= _GRID_CELLS else self.hi
 
     def at(self, x: float) -> tuple[float, float, float, float, float]:
         """S(x), S'(x) and the absolute sums sum |c_m| x^m,
@@ -386,22 +388,22 @@ class _ExclusionWalk:
         """Walk right from lo towards hi.
 
         Returns ("clear", lo, hi, sign) when [lo, hi] holds no zero,
-        ("cell", a, b, sign) for the first cell proved to hold exactly one
-        zero (it never crosses a grid point), or ("stall", x, x, sign) where
-        floating point cannot go on; sign is that of S on [lo, a] or [lo, x].
-        Each cell excluded doubles the step; each one refused halves it.
+        ("cell", a, b, sign) for a cell with no grid point strictly inside
+        that holds exactly one zero, the first one, or ("stall", x, x, sign)
+        where floating point cannot go on; sign is that of S on [lo, a] or
+        [lo, x].  The first cell is a sixteenth of [lo, hi]; each cell
+        excluded doubles the next, and each one refused halves it.  A cell
+        on which S is monotone with opposite signs at its ends is closed
+        onto its grid cell by ``_close``.
         """
         g, slack, x, end = self.gamma, 1.0 + self.gamma, self.lo, self.hi
         px = self.at(x)
         sign = self.sign(px)
         if sign == 0:
             return "stall", x, x, sign
-        step = (end - x) / _GRID_CELLS
-        h, nxt = step, self.next_point(x)
-        for _ in range(_WALK_BUDGET - 1):
+        h = (end - x) / 16
+        for spent in range(2, _WALK_BUDGET + 1):
             b = min(x + h, end)
-            if h <= step and nxt < b:
-                b = nxt
             w = b - x
             pb = self.at(b)
             # no zero when |S| cannot fall to 0 across the cell ...
@@ -409,8 +411,9 @@ class _ExclusionWalk:
             if not free and abs(px[1]) - g * px[3] > w * 2.0 * pb[4] * slack:
                 # ... or when S is monotone on it and keeps its sign
                 sb = self.sign(pb)
-                if sb == -sign and b <= nxt:
-                    return "cell", x, b, sign
+                if sb == -sign:
+                    return self._close(x, px[0], b, pb[0], sign,
+                                       _WALK_BUDGET - spent)
                 free = sb == sign
             if not free:
                 if w < _MIN_CELL:
@@ -420,15 +423,52 @@ class _ExclusionWalk:
             if b >= end:
                 return "clear", self.lo, end, sign
             x, px, h = b, pb, 2.0 * h
-            if x >= nxt:
-                nxt = self.next_point(x)
+        return "stall", x, x, sign
+
+    def _close(self, x: float, sx: float, b: float, sb: float, sign: int,
+               budget: int) -> tuple[str, float, float, int]:
+        """Narrow a cell (x, b) that holds exactly one zero, S monotone on
+        it with sign at x and -sign at b, until no grid point lies strictly
+        inside, probing at most budget grid points.
+
+        Each probe is the grid point nearest the secant through (x, S(x))
+        and (b, S(b)), or the middle grid point after two probes in a row
+        moved the same end, and its certified sign replaces that end.
+        """
+        moved_x, same = None, 0
+        while True:
+            i = self.next_index(x)
+            j = self.next_index(math.nextafter(b, -math.inf)) - 1
+            if i > j:
+                return "cell", x, b, sign
+            if not budget:
+                break
+            if same >= 2:
+                k = (i + j) // 2
+            else:
+                r = x + sx / (sx - sb) * (b - x)
+                k = round((r - self.lo) / (self.hi - self.lo) * _GRID_CELLS)
+                k = min(j, max(i, k))
+            p = self.grid_point(k)
+            pp = self.at(p)
+            budget -= 1
+            sp = self.sign(pp)
+            if sp == 0:
+                break
+            left = sp == sign
+            same = same + 1 if left == moved_x else 1
+            moved_x = left
+            if left:
+                x, sx = p, pp[0]
+            else:
+                b, sb = p, pp[0]
         return "stall", x, x, sign
 
 
-def _smallest_root_exact(poly: IntPolynomial, x: float, hi: float) -> float | None:
-    """Smallest zero of poly in [x, hi] in exact arithmetic: Sturm counts of
-    the square-free part at Fraction points, halved by ``bisect_sign`` on
-    whether the count still equals the one at x, until the cell holding the
+def _smallest_root_exact(poly: IntPolynomial, lo: float, hi: float) -> float | None:
+    """Smallest zero of poly in [lo, hi] in exact arithmetic: Sturm counts
+    of the square-free part at Fraction points, halved by ``bisect_sign`` on
+    whether the count still equals the one at lo, until the cell holding the
     first zero is narrower than ROOT_TOL."""
     from fractions import Fraction
     g = poly.div_exact(poly.gcd(poly.derivative()))
@@ -440,9 +480,9 @@ def _smallest_root_exact(poly: IntPolynomial, x: float, hi: float) -> float | No
         signs = [v for v in (p.sign_at(t) for p in chain) if v]
         return sum((u < 0) != (v < 0) for u, v in zip(signs, signs[1:]))
 
-    a, b = Fraction(x), Fraction(hi)
+    a, b = Fraction(lo), Fraction(hi)
     if g.sign_at(a) == 0:
-        return x
+        return lo
     va = changes(a)
     if changes(b) == va:
         return None

@@ -185,8 +185,11 @@ FREE_ROOT_HEX = {
 # sha256 over one line per polynomial of test_polynomials.planted_root_polys
 # (seed 0, 400 polynomials): smallest_root_in(poly, BAND_ROOT_LO - 1e-9,
 # 1.0).hex(), or "none"; 330 of them reach the Sturm fallback and 2 the
-# exact Fraction bisection
-PLANTED_ROOT_DIGEST = "6290d844b3126206a3e6138895bd72664b84c7a0837651ac31ee1ad3b05019a0"
+# exact Fraction bisection.  Re-recorded when the Sturm fallback began
+# searching all of [lo, hi] instead of starting where the walk stalled:
+# 325 entries moved, all of them on that route, each still within 8.8e-14
+# of its exact root
+PLANTED_ROOT_DIGEST = "52adf61f69e33768d2621b3e21645ee4e12853f07e1fbd26bccbda4d35b5ff68"
 
 # sha256 over one line "<word> <matrix>\n" (the matrix as its tuple repr)
 # per located admissible cycle word at levels 2-8, in admissible_cycles

@@ -313,6 +313,16 @@ def test_entropy_curve_rejects_parameters_from_c0_on(capsys):
         assert captured.err.startswith(f"error: c = {float(hi)!r} is not below C0")
 
 
+def test_entropy_curve_names_the_overflow_floor(capsys):
+    # below 4/max the critical orbit's first Newton step overflows
+    assert main(["entropy-curve", "--lo", "1e-320", "--hi", "1e-319", "--n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: c = 1e-320 is below C_FLOOR = 2.225073858507202e-308; "
+        "below it the critical orbit overflows")
+
+
 def test_entropy_curve_with_two_workers_prints_what_one_prints(monkeypatch, capsys):
     import multiprocessing
 

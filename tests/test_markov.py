@@ -2,6 +2,7 @@ import functools
 import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from quintic_newton.dynamics import (
 from quintic_newton.kneading import determinant_polynomial, kneading_determinant
 import quintic_newton.markov as markov
 from quintic_newton.markov import (
+    C_FLOOR,
     char_poly,
     critical_orbit,
     entropy_curve,
@@ -345,6 +347,20 @@ def test_entropy_point_rejects_parameters_from_c0_on():
     for c in (2.0, C0):
         with pytest.raises(ValueError, match="is not below C0"):
             entropy_point(c)
+
+
+def test_parameters_below_the_overflow_floor_are_refused_by_name():
+    # the Newton step from the critical value 1/c forms 4/c, so the floor
+    # is 4/max; one ulp below it that product overflows
+    assert C_FLOOR == 4.0 / sys.float_info.max
+    below = math.nextafter(C_FLOOR, 0.0)
+    assert 4.0 * (1.0 / below) == math.inf
+    for c in (below, 1e-320, 0.0):
+        with pytest.raises(ValueError, match="is below C_FLOOR = .*overflows"):
+            entropy_point(c)
+    with pytest.raises(ValueError, match="c = 1e-320 is below C_FLOOR"):
+        entropy_curve(1e-320, 1e-319, 2)
+    assert entropy_point(C_FLOOR).method == "kneading"
 
 
 def test_located_parameters_follow_the_word_order():

@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import math
 import random
@@ -266,12 +267,13 @@ def test_smallest_root_in_finds_the_smallest_planted_root(factors):
 
 
 def planted_root_polys(seed, count):
-    """count polynomials with roots planted in [0.4, 1]: every other one a
-    cluster of simple roots within 0.005, the rest spread roots of
-    multiplicity 1 to 3, so the float, Fraction and Sturm paths all run."""
+    """count pairs (poly, roots) with roots planted in [0.4, 1]: every
+    other poly a cluster of simple roots within 0.005, the rest spread
+    roots of multiplicity 1 to 3, so the float, Fraction and Sturm paths
+    all run; roots lists the planted Fractions."""
     rng = random.Random(seed)
     for i in range(count):
-        poly = IntPolynomial([rng.choice((-1, 1))])
+        poly, roots = IntPolynomial([rng.choice((-1, 1))]), []
         centre = rng.uniform(0.4, 1.0)
         for _ in range(rng.randint(2, 5) if i % 2 else rng.randint(1, 4)):
             if i % 2:
@@ -281,17 +283,57 @@ def planted_root_polys(seed, count):
                 q = rng.randint(2, 10 ** rng.randint(1, 4))
                 root, power = rng.uniform(0.4, 1.0), rng.randint(1, 3)
             f = IntPolynomial([-round(q * root), q])
+            roots.append(Fraction(round(q * root), q))
             for _ in range(power):
                 poly = poly * f
-        yield poly
+        yield poly, roots
 
 
 def test_smallest_root_in_is_pinned_on_planted_roots():
     digest = hashlib.sha256()
-    for poly in planted_root_polys(0, 400):
+    for poly, _ in planted_root_polys(0, 400):
         t = smallest_root_in(poly, BAND_ROOT_LO - 1e-9, 1.0)
         digest.update(f"{'none' if t is None else t.hex()}\n".encode())
     assert digest.hexdigest() == PLANTED_ROOT_DIGEST
+
+
+def test_smallest_root_in_finds_the_planted_roots_to_tol():
+    lo, hi = BAND_ROOT_LO - 1e-9, 1.0
+    for poly, roots in planted_root_polys(0, 400):
+        inside = [r for r in roots if Fraction(lo) <= r <= Fraction(hi)]
+        got = smallest_root_in(poly, lo, hi)
+        if not inside:
+            assert got is None, poly
+        else:
+            assert got is not None and \
+                abs(Fraction(got) - min(inside)) <= polynomials.ROOT_TOL, poly
+
+
+def test_exclusion_walk_closes_on_one_grid_cell_in_few_evaluations(monkeypatch):
+    evals = [0]
+    at = polynomials._ExclusionWalk.at
+
+    def counted(self, x):
+        evals[0] += 1
+        return at(self, x)
+
+    monkeypatch.setattr(polynomials._ExclusionWalk, "at", counted)
+    lo, hi = BAND_ROOT_LO - 1e-9, 1.0
+    grid = [lo + (hi - lo) * k / 4096 for k in range(4097)]
+    kinds = []
+    for nodes in generate_tree(9).values():
+        for node in nodes:
+            p = kneading_numerator(node.word)
+            kind, a, b, sign = polynomials._ExclusionWalk(p, lo, hi).run()
+            kinds.append(kind)
+            if kind == "cell":
+                k = bisect.bisect_right(grid, a)
+                assert k == len(grid) or grid[k] >= b, node.word
+                assert p.sign_at(a) == sign and p.sign_at(b) == -sign, node.word
+    assert len(kinds) == 555 and "stall" not in kinds
+    # the walk that stepped up from one grid cell and crawled to the root
+    # took 13,380
+    assert evals[0] <= 6690
 
 
 def test_smallest_root_in_matches_the_scan_bitwise_on_kneading_words():
