@@ -17,9 +17,10 @@ at the bottom, and every float decision there is certified: rounding
 bounds exclude cells and prove a single zero, certified signs at grid
 points close that zero's cell onto one cell of the grid, exact integer
 signs confirm the bisected value, and what floats cannot decide is decided
-exactly with a gcd over Z and Sturm counts.  ``bisect_sign`` halves a sign change to a
-tolerance here, in both of the locator's halvings (the kneading order and
-the k-th return) and for the free root d0: the package's only halving.
+exactly with a gcd over Z and Sturm counts.  ``bisect_sign`` halves a
+sign change to a tolerance here, in both of the locator's halvings (the
+kneading order and the k-th return) and for the free root d0: the
+package's only halving.
 """
 from __future__ import annotations
 
