@@ -10,7 +10,8 @@ when asked and checks c once per walk, the step core each point; one
 periodic-tail rule, which finds where the symbols repeat before it compares
 points; one reader, ``OrbitCode.word``; one pole-nudge schedule), and the
 locator for parameters whose critical orbit closes up on a cycle word
-(``polynomials.bisect_sign`` halves its order, then its k-th return).
+(``polynomials.bisect_sign`` halves its order, then inside that bracket
+its k-th return).
 """
 from __future__ import annotations
 
@@ -335,11 +336,12 @@ def find_superstable_parameter(word, bracket: tuple[float, float] | None = None,
     sign of the word's order against the critical orbit's; each comparison
     reads the orbit against the word's prefix and stops at the first symbol
     where they differ (a walk that matches up to the horizon compares equal,
-    and that exact zero ends the halving).  ``bisect_sign`` then halves the
-    sign of the k-th return of zero, and a secant from the left end of its
-    bracket polishes the result.  Raises ValueError when the word is not an
-    admissible cycle word, no parameter in the bracket realizes it, or tol
-    is negative or nan.
+    and that exact zero ends the halving).  Inside that bracket it halves
+    the sign of the k-th return of zero down to adjacent floats, and c* is
+    the end with the smaller |return|, or the better end of the order
+    bracket when the return keeps its sign.  Raises ValueError when the
+    word is not an admissible cycle word, no parameter in the bracket
+    realizes it, or tol is negative or nan.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be a number >= 0, got {tol!r}")
@@ -382,30 +384,11 @@ def find_superstable_parameter(word, bracket: tuple[float, float] | None = None,
     try:
         ga, gb = kth_return(a), kth_return(b)
         if (ga < 0) != (gb < 0):
-            a, b = bisect_sign(kth_return, a, b, ga, tol)
+            a, b = bisect_sign(kth_return, a, b, ga, 0.0)
+            ga, gb = kth_return(a), kth_return(b)
+        c_star, residual = (a, abs(ga)) if abs(ga) <= abs(gb) else (b, abs(gb))
     except PoleError:
-        pass  # fall back to the order bisection midpoint
-    cc = c_star = 0.5 * (a + b)
-    gc = kth_return(c_star)
-    residual = abs(gc)
-    # secant polish: near the band edge the k-th return is steep in c, so
-    # bisection at c-resolution tol can still leave a sizable residual
-    try:
-        cp, gp = a, kth_return(a)
-        for _ in range(12):
-            if gc == 0.0 or gc == gp:
-                break
-            cn = cc - gc * (cc - cp) / (gc - gp)
-            if not (lo < cn < hi):
-                break
-            cp, gp = cc, gc
-            cc, gc = cn, kth_return(cn)
-            if abs(gc) < 1e-14:
-                break
-        if abs(gc) < residual:
-            c_star, residual = cc, abs(gc)
-    except PoleError:
-        pass
+        c_star, residual = a, math.inf
     if residual > 1e-8:
         raise ValueError(
             f"{word} not realized: return residual {residual:.3e} at c={c_star!r}")

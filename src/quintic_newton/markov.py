@@ -212,10 +212,11 @@ def lap_growth_estimate(M: tuple[tuple[int, ...], ...]) -> EntropyResult:
     The total number of admissible k-step itineraries grows like the
     spectral radius; the ratio of consecutive totals, here at k = LAP_STEPS,
     converges to it geometrically (much faster than the k-th root does).
-    A nilpotent matrix runs out of paths, so t* = 1 and h = 0.
+    A nilpotent matrix runs out of paths, so t* = 1 and h = 0.  M^k = 0
+    whenever M^(k-1) = 0, so the last total decides.
     """
     totals = [sum(map(sum, P)) for P in _matrix_powers(M, LAP_STEPS)]
-    if not totals[-2]:
+    if not totals[-1]:
         return EntropyResult(1.0, 0.0, "lap-growth")
     ratio = totals[-1] / totals[-2]
     return EntropyResult(1.0 / ratio, math.log(ratio), "lap-growth")

@@ -16,11 +16,11 @@ Floating point enters only through ``evaluate`` and the band-root search
 at the bottom, and every float decision there is certified: rounding
 bounds exclude cells and prove a single zero, certified signs at grid
 points close that zero's cell onto one cell of the grid, exact integer
-signs confirm the bisected value, and what floats cannot decide is decided
-exactly with a gcd over Z and Sturm counts.  ``bisect_sign`` halves a
-sign change to a tolerance here, in both of the locator's halvings (the
-kneading order and the k-th return) and for the free root d0: the
-package's only halving.
+signs confirm the bisected value, and what floats cannot certify is decided
+on the whole interval with a gcd over Z and Sturm counts.  ``bisect_sign``
+halves a sign change to a tolerance here, in both of the locator's
+halvings (the kneading order and the k-th return) and for the free root
+d0: the package's only halving.
 """
 from __future__ import annotations
 
@@ -274,13 +274,13 @@ def smallest_root_in(poly: IntPolynomial, lo: float, hi: float) -> float | None:
     [0, t*).  ``bisect_sign`` halves the cell of the grid
     lo + (hi - lo) * i / 4096 that holds (a, b) in floating point, and the
     midpoint t of its last bracket is kept when exact signs at t - ROOT_TOL
-    and t + ROOT_TOL bracket the zero; otherwise it halves (a, b) itself
-    in Fractions.  Where floating point cannot decide a cell (a double
-    root, two roots closer than the rounding), all of [lo, hi] is decided
-    exactly: Sturm counts of the square-free part, halved down to ROOT_TOL,
-    so that answer depends on poly, lo and hi alone, not on where the walk
-    stopped.  Bounds exact arithmetic cannot represent raise ValueError;
-    nothing is guessed.
+    and t + ROOT_TOL bracket the zero.  What floating point cannot certify
+    (a walk stalled by a double root or by roots closer than the rounding,
+    a cell past the last grid point, a rejected bisection) goes to the one
+    exact fallback: all of [lo, hi] is decided by Sturm counts of the
+    square-free part, halved down to ROOT_TOL, so that answer depends on
+    poly, lo and hi alone, not on where the walk stopped.  Bounds exact
+    arithmetic cannot represent raise ValueError; nothing is guessed.
     """
     if not 0.0 <= lo < hi < math.inf:
         raise ValueError(f"need 0 <= lo < hi < inf, got [{lo!r}, {hi!r}]")
@@ -290,11 +290,9 @@ def smallest_root_in(poly: IntPolynomial, lo: float, hi: float) -> float | None:
     kind, a, b, sign = walk.run()
     if kind == "clear":
         return None
-    if kind == "stall":
-        return _smallest_root_exact(poly, lo, hi)
-    f = poly.evaluate
     i = walk.next_index(a)
-    if i <= _GRID_CELLS:
+    if kind == "cell" and i <= _GRID_CELLS:
+        f = poly.evaluate
         left, right = walk.grid_point(i - 1), walk.grid_point(i)
         fl, fr = f(left), f(right)
         if fl != 0.0 and fr != 0.0 and (fl < 0) == (sign < 0) != (fr < 0):
@@ -305,9 +303,7 @@ def smallest_root_in(poly: IntPolynomial, lo: float, hi: float) -> float | None:
             if below <= b and (below <= a or poly.sign_at(below) == sign) \
                     and (above >= b or poly.sign_at(above) == -sign):
                 return t
-    from fractions import Fraction
-    a, b = bisect_sign(poly.sign_at, Fraction(a), Fraction(b), sign, ROOT_TOL)
-    return float((a + b) / 2)
+    return _smallest_root_exact(poly, lo, hi)
 
 
 def bisect_sign(f, a, b, fa, tol):

@@ -152,17 +152,27 @@ VERIFY_DIGEST = "4c14fe4e0d6de760e1286f4feff1f85e7205e025e29ac2e0be87afc2f3be6ef
 # sha256 over one line "<word> <outcome>\n" per admissible cycle word at
 # levels 2-10 (admissible_cycles order), where the outcome is
 # find_superstable_parameter(word).hex() or the ValueError message; recorded
-# from the full-length order bisection that read 64 symbols per comparison
-LOCATOR_DIGEST = "c8b65134136d7dcf3477a714f143abefd76a06a07e1cad899b9f857afd8fa26f"
+# from the full-length order bisection that read 64 symbols per comparison.
+# Re-recorded when the k-th return was halved to adjacent floats inside the
+# order bracket instead of polished by a secant: still 566 located, 42 c*
+# moved by at most 6 ulps, and the failures' messages changed
+LOCATOR_DIGEST = "996b8e09bb319cccdc2c6d60a2e849d0c8e3750f1c982fabf946f8ede313c0f6"
 LOCATOR_WORDS = 627
 LOCATOR_NOT_REALIZED = 61
 
 # the same digest over the 738 admissible cycle words at level 11, recorded
 # from the locator that read the orbit in prefixes of k+1, 2(k+1), ...
-# symbols up to the horizon
-LOCATOR_DIGEST_11 = "6feab04ba4c5ebf567e5fd965f337b1c33137be69478fcaf4874d29a4358c354"
+# symbols up to the horizon; re-recorded with the k-th return halving above,
+# which locates MMMRMRLRRRC and MMMRRLMRMRC too (165 -> 163 not realized)
+LOCATOR_DIGEST_11 = "ac640c32071ab329a8c0029ebb235fa3fa9bb800b38a705c70e1bae3dc40edf8"
 LOCATOR_WORDS_11 = 738
-LOCATOR_NOT_REALIZED_11 = 165
+LOCATOR_NOT_REALIZED_11 = 163
+
+# the same digest over the 1632 admissible cycle words at level 12, recorded
+# with the k-th return halving: 1102 located, 530 not realized
+LOCATOR_DIGEST_12 = "e66874a34a5e61b67cd14a07f1e8faba250b5ee08fb82dc2db98cf4be0cadd74"
+LOCATOR_WORDS_12 = 1632
+LOCATOR_NOT_REALIZED_12 = 530
 
 # critical_frame(c).d0.hex(), from the eager bisection and Newton polish
 FREE_ROOT_HEX = {
@@ -184,12 +194,14 @@ FREE_ROOT_HEX = {
 
 # sha256 over one line per polynomial of test_polynomials.planted_root_polys
 # (seed 0, 400 polynomials): smallest_root_in(poly, BAND_ROOT_LO - 1e-9,
-# 1.0).hex(), or "none"; 330 of them reach the Sturm fallback and 2 the
-# exact Fraction bisection.  Re-recorded when the Sturm fallback began
-# searching all of [lo, hi] instead of starting where the walk stalled:
-# 325 entries moved, all of them on that route, each still within 8.8e-14
-# of its exact root
-PLANTED_ROOT_DIGEST = "52adf61f69e33768d2621b3e21645ee4e12853f07e1fbd26bccbda4d35b5ff68"
+# 1.0).hex(), or "none"; 332 of them reach the Sturm fallback.  Re-recorded
+# when the Sturm fallback began searching all of [lo, hi] instead of
+# starting where the walk stalled: 325 entries moved, all of them on that
+# route, each still within 8.8e-14 of its exact root.  Re-recorded when
+# Sturm also took the 2 entries an exact Fraction bisection of the walk's
+# cell had decided: entry 339 moved one ulp, its error against 320/589
+# going from 3.0e-14 to 3.1e-14, and entry 95 kept its bits
+PLANTED_ROOT_DIGEST = "0f2809d1552f80908bd65632078dcf47d15af25ebfe54f982686cf6d97196852"
 
 # sha256 over one line "<word> <matrix>\n" (the matrix as its tuple repr)
 # per located admissible cycle word at levels 2-8, in admissible_cycles

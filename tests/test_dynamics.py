@@ -11,10 +11,13 @@ from frozen import (
     FREE_ROOT_HEX,
     LOCATOR_DIGEST,
     LOCATOR_DIGEST_11,
+    LOCATOR_DIGEST_12,
     LOCATOR_NOT_REALIZED,
     LOCATOR_NOT_REALIZED_11,
+    LOCATOR_NOT_REALIZED_12,
     LOCATOR_WORDS,
     LOCATOR_WORDS_11,
+    LOCATOR_WORDS_12,
     SUPERSTABLE,
 )
 import quintic_newton.dynamics as dynamics
@@ -261,6 +264,11 @@ def test_locator_outcomes_are_pinned_at_level_11():
         LOCATOR_DIGEST_11, LOCATOR_WORDS_11, LOCATOR_NOT_REALIZED_11)
 
 
+def test_locator_outcomes_are_pinned_at_level_12():
+    assert locator_outcomes([12]) == (
+        LOCATOR_DIGEST_12, LOCATOR_WORDS_12, LOCATOR_NOT_REALIZED_12)
+
+
 def count_newton_steps(monkeypatch, fn):
     """Steps taken while fn runs, counted in the one step formula that the
     walkers and ``newton_step`` share."""
@@ -278,7 +286,13 @@ def count_newton_steps(monkeypatch, fn):
 
 
 def test_locator_stops_each_walk_at_the_deciding_symbol(monkeypatch):
-    located = []
+    located, kth_steps = [], [0]
+    points = dynamics.orbit_points
+
+    def kth_return_points(*args):
+        pts = []
+        kth_steps[0] += count_newton_steps(monkeypatch, lambda: pts.extend(points(*args)))
+        return pts
 
     def locate_levels_2_to_8():
         for level in range(2, 9):
@@ -288,9 +302,16 @@ def test_locator_stops_each_walk_at_the_deciding_symbol(monkeypatch):
                 except ValueError:
                     pass
 
-    # 72,270 steps when each comparison walked k+1, 2(k+1), ... points and
-    # re-walked the prefix it had already coded
-    assert count_newton_steps(monkeypatch, locate_levels_2_to_8) == 49_319
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "orbit_points", kth_return_points)
+        steps = count_newton_steps(monkeypatch, locate_levels_2_to_8)
+    # the order reads and the realized-prefix checks: 72,270 steps when each
+    # comparison walked k+1, 2(k+1), ... points and re-walked the prefix it
+    # had already coded
+    assert steps - kth_steps[0] == 41_413
+    # the k-th return halved to adjacent floats: 7,906 steps when it was
+    # halved to tol and polished by a secant
+    assert kth_steps[0] == 14_151
     # the partition's critical orbit stops at its first return: k steps
     assert len(located) == 135
     for word, c in located:
@@ -332,11 +353,20 @@ def test_superstable_rejects_inadmissible_and_empty_brackets():
         find_superstable_parameter("RC", bracket=(0.5, 0.6))
     with pytest.raises(ValueError, match=r"^bad bracket \(0\.6, 0\.5\)$"):
         find_superstable_parameter("RC", bracket=(0.6, 0.5))
-    # the locator's last check: the order halving closes on a parameter
-    # whose orbit leaves the word after its sixth symbol
+    # the order bracket closes where the k-th return is far from zero, and
+    # c* stays inside it
     with pytest.raises(ValueError) as info:
         find_superstable_parameter("MMMMRLRRLMRC")
-    assert str(info.value) == "bracket closed on 'MMMMRLMMMMR', not 'MMMMRLRRLMR'"
+    assert str(info.value) == ("MMMMRLRRLMRC not realized: return residual "
+                               "6.724e-01 at c=1.6485296271658783")
+
+
+def test_superstable_checks_the_realized_prefix(monkeypatch):
+    # no word up to level 12 reaches the locator's last check, so an orbit
+    # that leaves the word there is planted
+    monkeypatch.setattr(dynamics, "critical_symbols", lambda c, n: "RRRC"[:n])
+    with pytest.raises(ValueError, match=r"^bracket closed on 'RRR', not 'RLR'$"):
+        find_superstable_parameter("RLRC")
 
 
 def test_superstable_with_explicit_bracket():

@@ -215,8 +215,10 @@ def test_a_nilpotent_matrix_has_no_band_root_and_zero_entropy():
     assert p.to_list() == [1]
     res = entropy_from_charpoly(p)
     assert (res.t_star, res.h) == (1.0, 0.0)
-    # the lap route runs out of paths and agrees, the empty matrix too
-    for m in (((0, 1), (0, 0)), ()):
+    # the lap route runs out of paths and agrees, the empty matrix too, and
+    # the 20x20 shift, whose 19th power is the last nonzero one
+    shift = tuple(tuple(int(j == i + 1) for j in range(20)) for i in range(20))
+    for m in (((0, 1), (0, 0)), (), shift):
         lap = lap_growth_estimate(m)
         assert (lap.t_star, lap.h, lap.method) == (1.0, 0.0, "lap-growth")
 

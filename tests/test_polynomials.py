@@ -269,8 +269,8 @@ def test_smallest_root_in_finds_the_smallest_planted_root(factors):
 def planted_root_polys(seed, count):
     """count pairs (poly, roots) with roots planted in [0.4, 1]: every
     other poly a cluster of simple roots within 0.005, the rest spread
-    roots of multiplicity 1 to 3, so the float, Fraction and Sturm paths
-    all run; roots lists the planted Fractions."""
+    roots of multiplicity 1 to 3, so both the float route and the exact
+    Sturm fallback run; roots lists the planted Fractions."""
     rng = random.Random(seed)
     for i in range(count):
         poly, roots = IntPolynomial([rng.choice((-1, 1))]), []
@@ -307,6 +307,22 @@ def test_smallest_root_in_finds_the_planted_roots_to_tol():
         else:
             assert got is not None and \
                 abs(Fraction(got) - min(inside)) <= polynomials.ROOT_TOL, poly
+
+
+def test_a_rejected_grid_cell_bisection_takes_the_one_exact_fallback(monkeypatch):
+    # planted entry 95: the walk proves one zero in a cell, but the exact
+    # signs reject the bisected value, with the next root 3.3e-4 away
+    calls = []
+    exact = polynomials._smallest_root_exact
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(polynomials, "_smallest_root_exact", counted)
+    t = smallest_root_in(linear(640, 397) * linear(775, 481), BAND_ROOT_LO - 1e-9, 1.0)
+    assert len(calls) == 1
+    assert abs(Fraction(t) - Fraction(397, 640)) <= polynomials.ROOT_TOL
 
 
 def test_exclusion_walk_closes_on_one_grid_cell_in_few_evaluations(monkeypatch):
