@@ -10,8 +10,9 @@ when asked and checks c once per walk, the step core each point; one
 periodic-tail rule, which finds where the symbols repeat before it compares
 points; one reader, ``OrbitCode.word``; one pole-nudge schedule), and the
 locator for parameters whose critical orbit closes up on a cycle word
-(``polynomials.bisect_sign`` halves its order, then inside that bracket
-its k-th return).
+(``polynomials.bisect_sign`` halves its order until both ends read the
+word's prefix, then halves its k-th return there, walking only the
+midpoints inside an Illinois secant's window).
 """
 from __future__ import annotations
 
@@ -192,8 +193,8 @@ class OrbitCode(NamedTuple):
         return SymbolWord(syms, TAIL_UNRESOLVED)
 
 
-def orbit_symbols(c: float, x0: float, n: int,
-                  tol: float = 1e-10) -> Iterator[tuple[float, str | None]]:
+def orbit_symbols(c: float, x0: float, n: int, tol: float = 1e-10,
+                  split_ab: bool = True) -> Iterator[tuple[float, str | None]]:
     """Yield (point, symbol) along the orbit of x0 for at most n points.
 
     This is the one orbit walker: it codes over A B L C M R and takes the
@@ -203,6 +204,9 @@ def orbit_symbols(c: float, x0: float, n: int,
     None and ends the walk.  A Newton step that itself meets a pole raises
     PoleError.  The frame checks c once per walk; a start of nan or +inf,
     and any non-finite point about to step, raise ``newton_step``'s ValueError.
+    With split_ab false, every point left of d1 reads B and the free root
+    d0 is never built: for a caller that only ranks letters, A and B end
+    the walk alike below L C M R.
     """
     frame = critical_frame(c)
     d1, d3, a = frame.d1, frame.d3, -c
@@ -218,7 +222,7 @@ def orbit_symbols(c: float, x0: float, n: int,
         if abs(x) <= tol or x == 0.0:
             yield x, "C"
         elif x < d1:
-            yield x, "A" if x < frame.d0 else "B"
+            yield x, "A" if split_ab and x < frame.d0 else "B"
             return
         else:
             yield x, "L" if x < 0.0 else "M" if x < d3 else "R"
@@ -328,6 +332,13 @@ def critical_symbols(c: float, n: int) -> str:
 # superstable parameter location
 # ----------------------------------------------------------------------
 
+# the secant narrows the k-th return's sign change to this many ulps, and the
+# halving walks only inside that bracket widened by as many on each side;
+# rounding flipped the return's sign at most 5 ulps from c* on every word
+# located at levels 2-12
+SECANT_MARGIN = 16
+
+
 def find_superstable_parameter(word, bracket: tuple[float, float] | None = None,
                                tol: float = 1e-13) -> float:
     """Parameter where the critical orbit closes up on the given cycle word.
@@ -336,12 +347,19 @@ def find_superstable_parameter(word, bracket: tuple[float, float] | None = None,
     sign of the word's order against the critical orbit's; each comparison
     reads the orbit against the word's prefix and stops at the first symbol
     where they differ (a walk that matches up to the horizon compares equal,
-    and that exact zero ends the halving).  Inside that bracket it halves
-    the sign of the k-th return of zero down to adjacent floats, and c* is
-    the end with the smaller |return|, or the better end of the order
-    bracket when the return keeps its sign.  Raises ValueError when the
-    word is not an admissible cycle word, no parameter in the bracket
-    realizes it, or tol is negative or nan.
+    and that exact zero ends the halving).  The halving stops at tol, or
+    once both ends read the word's first k - 1 symbols: the words with
+    that prefix form an interval of the order (Milnor & Thurston, 1988),
+    so the k-th return of zero is continuous between the ends with one
+    sign change.  ``bisect_sign`` halves that return to adjacent floats,
+    after a prefix bracket through ``_secant_halving``, which walks only
+    near the change and ends on the same bits; rounding makes the return
+    change sign up to three times within a few ulps of c*, so a close by
+    secant alone can end an ulp or two away.  c* is the end with the
+    smaller |return|, or the better end of the order bracket when the
+    return keeps its sign.  Raises ValueError when the word is not an
+    admissible cycle word, no parameter in the bracket realizes it, or tol
+    is negative or nan.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be a number >= 0, got {tol!r}")
@@ -359,32 +377,47 @@ def find_superstable_parameter(word, bracket: tuple[float, float] | None = None,
     for t in expected:
         signs.append(-signs[-1] if LAP_SIGN[t] < 0 else signs[-1])
 
-    def read(c: float) -> int:
-        # realized > word means c is below the target, realized < word above;
-        # the first symbol where the orbit leaves the word fixes the sign
-        orbit = orbit_symbols(c, newton_eval(c, 0.0), horizon)
+    def read(c: float) -> tuple[int, int]:
+        # (sign, index of the first differing symbol): realized > word means
+        # c is below the target, realized < word above; A and B rank alike
+        # below every letter of the word, so the walk need not split them
+        orbit = orbit_symbols(c, newton_eval(c, 0.0), horizon, split_ab=False)
         for i, ((x, s), t) in enumerate(zip(orbit, expected)):
             if s != t:
                 if s is None:
                     raise PoleError(x, i)
-                return signs[i] if RANK[s] > RANK[t] else -signs[i]
-        return 0
+                return (signs[i] if RANK[s] > RANK[t] else -signs[i]), i
+        return 0, horizon
 
-    def side(c: float) -> int:
+    def side(c: float) -> tuple[int, int]:
         return nudge_off_poles(read, c)[1]
 
-    s_lo, s_hi = side(lo), side(hi)
+    (s_lo, i_lo), (s_hi, i_hi) = side(lo), side(hi)
     if s_lo < 0 or s_hi > 0:
         raise ValueError(f"no parameter for {word} inside bracket ({lo}, {hi})")
-    a, b = bisect_sign(side, lo, hi, s_lo, tol)
+    reach = [i_lo, i_hi]   # how many symbols of the word the ends a, b read
 
+    def order(c: float) -> int:
+        if min(reach) >= k - 1:
+            return 0   # an exact zero ends the halving on the prefix bracket
+        s, i = side(c)
+        if s:
+            reach[s < 0] = i   # a positive sign moves a, a negative one b
+        return s
+
+    a, b = bisect_sign(order, lo, hi, s_lo, tol)
+
+    @functools.cache
     def kth_return(c: float) -> float:
         return orbit_points(c, 0.0, k + 1)[-1]
 
     try:
         ga, gb = kth_return(a), kth_return(b)
         if (ga < 0) != (gb < 0):
-            a, b = bisect_sign(kth_return, a, b, ga, 0.0)
+            if min(reach) >= k - 1:
+                a, b = _secant_halving(kth_return, a, b, ga, gb)
+            else:
+                a, b = bisect_sign(kth_return, a, b, ga, 0.0)
             ga, gb = kth_return(a), kth_return(b)
         c_star, residual = (a, abs(ga)) if abs(ga) <= abs(gb) else (b, abs(gb))
     except PoleError:
@@ -397,3 +430,54 @@ def find_superstable_parameter(word, bracket: tuple[float, float] | None = None,
         raise ValueError(
             f"bracket closed on {realized!r}, not {target.head[:-1]!r}")
     return c_star
+
+
+def _secant_halving(g, a: float, b: float, ga: float, gb: float) -> tuple[float, float]:
+    """``bisect_sign(g, a, b, ga, 0.0)`` for a g with one sign change on
+    [a, b] up to rounding, walking g only near that change.
+
+    Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) narrows [a, b]
+    until it spans at most SECANT_MARGIN ulps of b, and bisects after any
+    three steps that together fail to halve it.  The window is that
+    bracket widened by SECANT_MARGIN ulps on each side and clipped to
+    [a, b]; its ends are walked and must carry the nonzero signs of a and
+    b.  The halving then runs on all of [a, b], and a midpoint outside the
+    window takes its side's sign without a walk, so it meets the signs a
+    walk would have given wherever rounding stays inside the window.  A
+    walk that meets a pole, or window ends of the wrong signs, leave the
+    window empty: every midpoint is walked.  g should cache its values,
+    since the halving walks some points the secant did.
+    """
+    def replay(c: float) -> float:
+        return gl if c < wl else gr if c > wr else g(c)
+
+    lo, hi, g_lo, g_hi = a, b, ga, gb
+    pad = SECANT_MARGIN * math.ulp(b)
+    stale = 0          # the end the last step kept: -1 lo, 1 hi
+    widths = []        # the bracket's width before each step
+    try:
+        while hi - lo > pad:
+            widths.append(hi - lo)
+            m = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+            if not lo <= m <= hi or len(widths) > 3 and hi - lo > widths[-4] / 2:
+                m = (lo + hi) / 2
+            # a step lands at least pad / 2 inside both ends, so that the end
+            # the estimate creeps towards is crossed, not approached forever
+            m = min(max(m, lo + pad / 2), hi - pad / 2)
+            gm = g(m)
+            if (gm < 0) == (g_lo < 0):
+                lo, g_lo = m, gm
+                if stale == 1:
+                    g_hi /= 2
+                stale = 1
+            else:
+                hi, g_hi = m, gm
+                if stale == -1:
+                    g_lo /= 2
+                stale = -1
+        wl, wr = max(a, lo - pad), min(b, hi + pad)
+        gl, gr = g(wl), g(wr)
+        window = gl != 0 != gr and (gl < 0) == (ga < 0) and (gr < 0) == (gb < 0)
+    except PoleError:
+        window = False
+    return bisect_sign(replay if window else g, a, b, ga, 0.0)

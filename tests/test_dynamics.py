@@ -22,6 +22,7 @@ from frozen import (
 )
 import quintic_newton.dynamics as dynamics
 import quintic_newton.markov as markov
+from quintic_newton.cli import main
 from quintic_newton.dynamics import (
     C0,
     PoleError,
@@ -44,6 +45,7 @@ from quintic_newton.dynamics import (
     walk_orbit,
 )
 from quintic_newton.markov import critical_orbit, entropy_curve
+from quintic_newton.polynomials import bisect_sign
 from quintic_newton.words import admissible_cycles
 
 
@@ -307,17 +309,102 @@ def test_locator_stops_each_walk_at_the_deciding_symbol(monkeypatch):
         steps = count_newton_steps(monkeypatch, locate_levels_2_to_8)
     # the order reads and the realized-prefix checks: 72,270 steps when each
     # comparison walked k+1, 2(k+1), ... points and re-walked the prefix it
-    # had already coded
-    assert steps - kth_steps[0] == 41_413
-    # the k-th return halved to adjacent floats: 7,906 steps when it was
-    # halved to tol and polished by a secant
-    assert kth_steps[0] == 14_151
+    # had already coded, 41,413 when the order was halved down to tol
+    assert steps - kth_steps[0] == 10_201
+    # the k-th return narrowed by secant, then halved to adjacent floats
+    # with walks only inside the secant's window: 7,906 steps when it was
+    # halved to tol and polished by a secant, 14,151 when every midpoint
+    # inside the tol-wide order bracket was walked
+    assert kth_steps[0] == 19_015
     # the partition's critical orbit stops at its first return: k steps
     assert len(located) == 135
     for word, c in located:
         pts = []
         steps = count_newton_steps(monkeypatch, lambda: pts.extend(critical_orbit(c)))
         assert steps == len(pts) == len(word), word
+
+
+def test_locator_never_builds_the_free_root(monkeypatch):
+    # A and B rank alike below every letter of a cycle word, so an order
+    # read that leaves the word left of d1 needs no d0
+    frames = []
+
+    def recorded(c):
+        frames.append(critical_frame(c))
+        return frames[-1]
+
+    monkeypatch.setattr(dynamics, "critical_frame", recorded)
+    for level in range(2, 9):
+        for word in admissible_cycles(level):
+            try:
+                find_superstable_parameter(word)
+            except ValueError:
+                pass
+    assert len(frames) > 1000 and not any("d0" in f.__dict__ for f in frames)
+
+
+def noisy_return(r):
+    """A k-th return shaped like MMRMRMMMRRC's at c* = 0x1.a0a2f97c04768p+0:
+    it falls by about 2.5e-11 an ulp near r, bends away further out, and
+    rounding gives it three sign changes within three ulps of r."""
+    u = math.ulp(r)
+    noise = {-1: 4.1e-11, 0: -1.6e-12, 1: 8.5e-12, 2: -8.1e-12}
+
+    def g(c):
+        n = round((c - r) / u)
+        return noise.get(n, -2.5e-11 / u * ((c - r) + 1e6 * (c - r) ** 3))
+
+    return g
+
+
+def test_secant_halving_ends_on_the_plain_halvings_bracket():
+    r = float.fromhex("0x1.a0a2f97c04768p+0")
+    g, u = noisy_return(r), math.ulp(r)
+    rng = random.Random(0)
+    spans = [(1e-2, 3e-2), (3e-5, 2e-6), (7e-9, 5e-9), (40 * u, 3 * u),
+             (2 * u, 60 * u), (5 * u, 5 * u)]
+    spans += [(u * 2.0 ** rng.uniform(0, 50), u * 2.0 ** rng.uniform(0, 50))
+              for _ in range(100)]
+
+    def counted(c, seen):
+        seen.append(c)
+        return g(c)
+
+    for left, right in spans:
+        a, b = r - left, r + right
+        walked, plain = [], []
+        want = bisect_sign(lambda c: counted(c, plain), a, b, g(a), 0.0)
+        got = dynamics._secant_halving(lambda c: counted(c, walked), a, b, g(a), g(b))
+        assert got == want, (left, right)
+        if left + right > 1e-8:
+            assert len(walked) < len(plain), (left, right)
+        # a walk that meets a pole leaves the window empty, and every
+        # midpoint is walked as in the plain halving
+        halving = set(plain) | {a, b}
+
+        def poles_off_the_halving(c):
+            if c not in halving:
+                raise PoleError(c)
+            return g(c)
+
+        assert dynamics._secant_halving(poles_off_the_halving, a, b, g(a), g(b)) == want
+
+
+def test_locator_walks_every_midpoint_when_tol_comes_before_the_prefix(
+        monkeypatch, capsys):
+    # with --tol 1e-3 the order halving stops before both ends read RLRRMR;
+    # the k-th return is then halved with no secant, and lands on the same
+    # c as the default run
+    def no_secant(*args):
+        raise AssertionError("no secant without the prefix")
+
+    monkeypatch.setattr(dynamics, "_secant_halving", no_secant)
+    assert main(["find-window", "RLRRMRC", "--lo", "1.34", "--hi", "1.35",
+                 "--tol", "1e-3"]) == 0
+    assert "c = 1.3437045881176091" in capsys.readouterr().out.splitlines()
+    monkeypatch.undo()
+    assert main(["find-window", "RLRRMRC"]) == 0
+    assert "c = 1.3437045881176091" in capsys.readouterr().out.splitlines()
 
 
 def test_orbit_symbols_steps_only_when_asked(monkeypatch):
